@@ -7,9 +7,10 @@ exploration actually consults: a partial assignment that already exhibits a
 counterexample among consulted views rules out all of its completions, and a
 partial assignment under which every run succeeds settles the atom because
 unconsulted views are never reached (the agreement property of strategies,
-restricted to consulted views).  Verdicts are deterministic: start states,
-successors and candidate instructions are always scanned in declaration
-order.
+restricted to consulted views).  Each pass over the runs is the depth-first
+explorer `core._explore`, the same one `core.check_strategy` runs under a
+total strategy.  Verdicts are deterministic: start states, successors and
+candidate instructions are always scanned in declaration order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import AmnesicStrategy, EpistemicTransitionSystem
+from .core import (_UNSEEN, AmnesicStrategy, EpistemicTransitionSystem,
+                   _explore)
 from .syntax import Atom, AtomNode, Formula, Implies, Not
 from . import recall as _recall
 
@@ -25,9 +27,6 @@ __all__ = [
     "AmnesicDecision", "check_atom_amnesic", "evaluate",
     "NavigabilityTable", "navigability_table",
 ]
-
-_UNSEEN, _ON_PATH, _SAFE = 0, 1, 2
-_SKIP, _FAIL, _PUSHED = -1, -2, -3
 
 
 @dataclass(frozen=True)
@@ -46,119 +45,45 @@ class AmnesicDecision:
     note: Optional[str] = None
 
 
-class _Solver:
-    """Backtracking search over partial strategies.
+def _search(system: EpistemicTransitionSystem, roots: list[int], corridor: int,
+            target: int, sigma: list[Optional[int]]) -> tuple[bool, int]:
+    """Complete the partial strategy `sigma` in place, if it can be done.
 
-    Restarts the corridor exploration after each assignment, but keeps
-    "safe" marks (states whose every run already verified) on a trail so a
-    restart skips finished regions; marks are rolled back when the
-    assignment they depended on is undone.
+    Backtracking over an explicit stack of [view, instruction, trail mark]
+    frames: each pass of the explorer either settles the current assignment
+    or names the next view to assign, tried with instructions in declaration
+    order.  Safe marks (states whose every run already verified) survive
+    from pass to pass on a trail and are rolled back when the assignment
+    they depended on is undone.  Returns whether an extension succeeds
+    (left in `sigma`; otherwise `sigma` is restored) and the number of
+    passes that reached a definite verdict.
     """
-
-    def __init__(self, system: EpistemicTransitionSystem,
-                 start: int, corridor: int, target: int,
-                 fixed: Optional[dict[int, int]] = None):
-        self.obs = system._obs_mask
-        self.view_of = system._observation
-        self.table = system._succ
-        self.n_instr = len(system.instructions)
-        self.a_mask, self.b_mask, self.c_mask = start, corridor, target
-        self.roots = [k for k in range(len(system.states)) if self.obs[k] & start]
-        self.sigma: list[Optional[int]] = [None] * len(system.universe)
-        if fixed:
-            for v, i in fixed.items():
-                self.sigma[v] = i
-        self.status = [_UNSEEN] * len(system.states)
-        self.trail: list[int] = []
-        self.path: list[int] = []
-        self.iters: list = []
-        self.examined = 0
-
-    def _enter(self, u: int) -> int:
-        """SKIP/FAIL/PUSHED, or a view index (>= 0) that needs an instruction."""
-        m = self.obs[u]
-        if m & self.c_mask:
-            return _SKIP
-        if not m & self.b_mask:
-            return _FAIL
-        st = self.status[u]
-        if st == _SAFE:
-            return _SKIP
-        if st == _ON_PATH:
-            return _FAIL
-        v = self.view_of[u]
-        ins = self.sigma[v]
-        if ins is None:
-            return v
-        nxt = self.table[u][ins]
-        if not nxt:
-            return _FAIL
-        self.status[u] = _ON_PATH
-        self.path.append(u)
-        self.iters.append(iter(nxt))
-        return _PUSHED
-
-    def _unwind(self) -> None:
-        for u in self.path:
-            self.status[u] = _UNSEEN
-        self.path.clear()
-        self.iters.clear()
-
-    def _attempt(self) -> int:
-        """Explore under the current partial assignment.
-
-        Returns _SKIP when every run verifies, _FAIL on a counterexample,
-        or the first consulted view that lacks an instruction.
-        """
-        path, iters, status, trail = self.path, self.iters, self.status, self.trail
-        for root in self.roots:
-            r = self._enter(root)
-            if r == _FAIL or r >= 0:
-                self._unwind()
-                return r
-            while path:
-                child = next(iters[-1], -1)
-                if child < 0:
-                    done = path.pop()
-                    iters.pop()
-                    status[done] = _SAFE
-                    trail.append(done)
-                    continue
-                r = self._enter(child)
-                if r == _FAIL or r >= 0:
-                    self._unwind()
-                    return r
-        return _SKIP
-
-    def solve(self) -> bool:
-        r = self._attempt()
-        if r == _SKIP:
-            self.examined += 1
-            return True
-        if r == _FAIL:
-            self.examined += 1
-            return False
-        v = r
-        mark = len(self.trail)
-        for i in range(self.n_instr):
-            self.sigma[v] = i
-            if self.solve():
-                return True
-            while len(self.trail) > mark:
-                self.status[self.trail.pop()] = _UNSEEN
-        self.sigma[v] = None
-        return False
-
-
-def _solve_partial(system: EpistemicTransitionSystem, start: int, corridor: int,
-                   target: int, fixed: dict[int, int]) -> tuple[Optional[dict[int, int]], int]:
-    """First successful assignment extending `fixed` (declaration-ordered
-    search), or None; plus the number of definite verdicts reached."""
-    solver = _Solver(system, start, corridor, target, fixed)
-    if solver.solve():
-        found = {v: i for v, i in enumerate(solver.sigma) if i is not None}
-        return found, solver.examined
-    return None, solver.examined
+    n_instructions = len(system.instructions)
+    status = [_UNSEEN] * len(system.states)
+    trail: list[int] = []
+    frames: list[list[int]] = []
+    examined = 0
+    while True:
+        found = _explore(system, sigma, corridor, target, roots, status, trail)
+        if found is None:
+            return True, examined + 1
+        if isinstance(found, int):
+            frames.append([found, 0, len(trail)])
+            sigma[found] = 0
+            continue
+        examined += 1
+        while frames:
+            frame = frames[-1]
+            view, instruction, mark = frame
+            while len(trail) > mark:
+                status[trail.pop()] = _UNSEEN
+            if instruction + 1 < n_instructions:
+                frame[1] = sigma[view] = instruction + 1
+                break
+            sigma[view] = None
+            frames.pop()
+        else:
+            return False, examined
 
 
 def check_atom_amnesic(system: EpistemicTransitionSystem, atom: Atom,
@@ -174,38 +99,43 @@ def check_atom_amnesic(system: EpistemicTransitionSystem, atom: Atom,
     only the verdict matters.  No results are cached across atoms.
     """
     start, corridor, target = atom.masks(system.universe)
-    note = None
-    if not any(m & start for m in system._obs_mask):
-        note = "no state observes a start view; holds vacuously"
-    found, examined = _solve_partial(system, start, corridor, target, {})
-    if found is None:
+    roots = [k for k, m in enumerate(system.view_bit) if m & start]
+    note = None if roots else "no state observes a start view; holds vacuously"
+    sigma: list[Optional[int]] = [None] * len(system.universe)
+    holds, examined = _search(system, roots, corridor, target, sigma)
+    if not holds:
         return AmnesicDecision(False, None, examined)
-    n_views = len(system.universe)
     if canonical_witness:
-        fixed: dict[int, int] = {}
-        for v in range(n_views):
+        fixed: list[Optional[int]] = [None] * len(system.universe)
+        for v in range(len(fixed)):
             for i in range(len(system.instructions)):
                 fixed[v] = i
-                sol, more = _solve_partial(system, start, corridor, target, fixed)
+                holds, more = _search(system, roots, corridor, target, list(fixed))
                 examined += more
-                if sol is not None:
+                if holds:
                     break
             else:
                 raise AssertionError("witness vanished during minimization")
-        choices = tuple(fixed[v] for v in range(n_views))
-    else:
-        choices = tuple(found.get(v, 0) for v in range(n_views))
+        sigma = fixed
+    choices = tuple(0 if i is None else i for i in sigma)
     return AmnesicDecision(True, AmnesicStrategy(choices), examined, note)
 
 
-def evaluate(system: EpistemicTransitionSystem, formula: Formula) -> bool:
-    """Truth of a formula: atoms under forgetful semantics, connectives classical."""
+def evaluate(system: EpistemicTransitionSystem, formula: Formula,
+             mode: str = "amnesic") -> bool:
+    """Truth of a formula: atoms under forgetful ("amnesic") or perfect
+    ("recall") memory, connectives classical."""
     if isinstance(formula, AtomNode):
-        return check_atom_amnesic(system, formula.atom, canonical_witness=False).holds
+        if mode == "amnesic":
+            return check_atom_amnesic(system, formula.atom, canonical_witness=False).holds
+        if mode == "recall":
+            return _recall.check_atom_recall(system, formula.atom).holds
+        raise ValueError(f"unknown mode {mode!r}")
     if isinstance(formula, Not):
-        return not evaluate(system, formula.operand)
+        return not evaluate(system, formula.operand, mode)
     if isinstance(formula, Implies):
-        return (not evaluate(system, formula.antecedent)) or evaluate(system, formula.consequent)
+        return (not evaluate(system, formula.antecedent, mode)
+                or evaluate(system, formula.consequent, mode))
     raise TypeError(f"not a formula: {formula!r}")
 
 

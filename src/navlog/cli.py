@@ -3,7 +3,9 @@
 Exit codes: 0 the question was answered; 1 the answer was negative and
 --fail-on-false was given; 2 usage, parse, or validation errors; 3 an
 internal invariant violation (a checker contradicting itself, a fuzz
-violation, or a chain that fails its own certification).
+violation, or a chain that fails its own certification) or any other
+internal failure, such as running out of memory or of stack on a formula
+nested too deeply, reported as one `navlog: internal error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -26,9 +28,8 @@ from .fixtures import FIXTURES
 from .fuzz import FuzzConfig, fuzz_soundness
 from .proof import UniverseTooLarge, explain, saturate
 from .recall import check_atom_recall
-from .syntax import (AtomNode, Formula, Implies, Not, ParseError, as_atom,
-                     parse_formula, parse_system, render_formula,
-                     render_system)
+from .syntax import (AtomNode, Formula, ParseError, as_atom, parse_formula,
+                     parse_system, render_formula, render_system)
 
 __all__ = ["REPORT_SCHEMA", "TABLE_SCHEMA", "run_cli", "main"]
 
@@ -209,24 +210,11 @@ def _print_witness_details(args, holds, witness_obj, counterexample, stats) -> N
         print("some initial belief cannot force the target")
 
 
-def _eval_with_mode(system, formula: Formula, mode: str) -> bool:
-    if mode == "amnesic":
-        return evaluate(system, formula)
-    if isinstance(formula, AtomNode):
-        return check_atom_recall(system, formula.atom).holds
-    if isinstance(formula, Not):
-        return not _eval_with_mode(system, formula.operand, mode)
-    if isinstance(formula, Implies):
-        return (not _eval_with_mode(system, formula.antecedent, mode)
-                or _eval_with_mode(system, formula.consequent, mode))
-    raise TypeError(f"not a formula: {formula!r}")
-
-
 def _cmd_eval(args) -> int:
     system = _load_system(args.system)
     formula = parse_formula(args.formula, system.universe)
     started = time.perf_counter()
-    holds = _eval_with_mode(system, formula, args.mode)
+    holds = evaluate(system, formula, args.mode)
     elapsed = round((time.perf_counter() - started) * 1000, 3)
     query = render_formula(formula)
     if args.json:
@@ -604,6 +592,9 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
             ValueError, OSError) as e:
         print(f"navlog: error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"navlog: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

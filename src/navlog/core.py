@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -112,6 +112,11 @@ class EpistemicTransitionSystem:
 
     Construct through `validate_system` or the `build` convenience wrapper;
     `__init__` trusts its arguments.
+
+    The integer tables the engines run on are public and read-only, indexed
+    by declaration order: `view_of[s]` is the view index state s observes,
+    `view_bit[s]` is `1 << view_of[s]`, and `succ[s][i]` is the sorted
+    tuple of state indices that state s reaches under instruction i.
     """
 
     def __init__(
@@ -125,9 +130,9 @@ class EpistemicTransitionSystem:
         self.universe = universe
         self.instructions = instructions
         self.states = states
-        self._observation = observation                     # state idx -> view idx
-        self._obs_mask = tuple(1 << v for v in observation)  # state idx -> view bit
-        self._succ = succ                                    # [state][instr] -> state idxs
+        self.view_of = observation
+        self.view_bit = tuple(1 << v for v in observation)
+        self.succ = succ
         self._state_index = {name: k for k, name in enumerate(states)}
         self._instr_index = {name: k for k, name in enumerate(instructions)}
         per_view: list[list[int]] = [[] for _ in range(len(universe))]
@@ -171,7 +176,7 @@ class EpistemicTransitionSystem:
 
     def observation(self, state: str) -> str:
         """View observed in a state."""
-        return self.universe.names[self._observation[self.state_index(state)]]
+        return self.universe.names[self.view_of[self.state_index(state)]]
 
     def states_observing(self, view: str) -> tuple[str, ...]:
         """States whose observation is `view`, in declaration order."""
@@ -180,13 +185,13 @@ class EpistemicTransitionSystem:
 
     def successors(self, state: str, instruction: str) -> tuple[str, ...]:
         """Targets reachable from `state` in one `instruction` step."""
-        ks = self._succ[self.state_index(state)][self.instruction_index(instruction)]
+        ks = self.succ[self.state_index(state)][self.instruction_index(instruction)]
         return tuple(self.states[k] for k in ks)
 
     def transition_triples(self) -> tuple[tuple[str, str, str], ...]:
         """Every (source, instruction, target), in declaration order."""
         out = []
-        for s, rows in enumerate(self._succ):
+        for s, rows in enumerate(self.succ):
             for i, targets in enumerate(rows):
                 for t in targets:
                     out.append((self.states[s], self.instructions[i], self.states[t]))
@@ -345,6 +350,59 @@ class PathWitness:
     loop_start: Optional[int] = None
 
 
+def _explore(system: EpistemicTransitionSystem, sigma: Sequence[Optional[int]],
+             corridor: int, target: int, roots: Iterable[int],
+             status: list[int], trail: list[int]
+             ) -> "None | int | tuple[str, list[int], Optional[int]]":
+    """One depth-first pass over the runs from `roots` under a partial strategy.
+
+    `sigma[v]` is the instruction index chosen for view v, or None.  States
+    and successors are scanned in declaration order, so the result is
+    deterministic.  `status` holds one mark per state and persists across
+    passes: a state whose every run verified is marked _SAFE and pushed on
+    `trail`, so a later pass under an extension of `sigma` skips it (a caller
+    that retracts a choice resets the marks trailed since).  Returns None
+    when every run verifies, the index of the first consulted view that has
+    no instruction, or a counterexample (reason, path, loop_start) where
+    path lists state indices.  Both early returns reset the current path's
+    marks to _UNSEEN.
+    """
+    view_bit, view_of, succ = system.view_bit, system.view_of, system.succ
+    path: list[int] = []
+    iters = [iter(roots)]
+    while iters:
+        u = next(iters[-1], -1)
+        if u < 0:
+            iters.pop()
+            if path:
+                done = path.pop()
+                status[done] = _SAFE
+                trail.append(done)
+            continue
+        m = view_bit[u]
+        if m & target or status[u] == _SAFE:
+            continue
+        if not m & corridor:
+            found = (LEFT_CORRIDOR, path + [u], None)
+        elif status[u] == _ON_PATH:
+            found = (NEVER_REACHES, path, path.index(u))
+        else:
+            instruction = sigma[view_of[u]]
+            if instruction is None:
+                found = view_of[u]
+            elif succ[u][instruction]:
+                status[u] = _ON_PATH
+                path.append(u)
+                iters.append(iter(succ[u][instruction]))
+                continue
+            else:
+                found = (DEAD_END, path + [u], None)
+        for k in path:
+            status[k] = _UNSEEN
+        return found
+    return None
+
+
 def check_strategy(
     system: EpistemicTransitionSystem,
     strategy: AmnesicStrategy,
@@ -359,60 +417,13 @@ def check_strategy(
     returned for a failing strategy is deterministic.  States observing a
     target view are success leaves: the run is not extended past them.
     """
-    a_mask, b_mask, c_mask = objective.start, objective.corridor, objective.target
-    obs = system._obs_mask
-    view_of = system._observation
-    table = system._succ
-    choices = strategy.choices
-    n = len(system.states)
-
-    status = [_UNSEEN] * n
-    path: list[int] = []
-    pos: dict[int, int] = {}
-    iters: list[Iterator[int]] = []
-
-    def names(seq: list[int]) -> tuple[str, ...]:
-        return tuple(system.states[k] for k in seq)
-
-    def enter(u: int):
-        """Returns a PathWitness, True (pushed), or None (closed off)."""
-        m = obs[u]
-        if m & c_mask:
-            return None
-        if not m & b_mask:
-            return PathWitness(names(path + [u]), LEFT_CORRIDOR)
-        st = status[u]
-        if st == _SAFE:
-            return None
-        if st == _ON_PATH:
-            return PathWitness(names(path), NEVER_REACHES, loop_start=pos[u])
-        nxt = table[u][choices[view_of[u]]]
-        if not nxt:
-            return PathWitness(names(path + [u]), DEAD_END)
-        status[u] = _ON_PATH
-        pos[u] = len(path)
-        path.append(u)
-        iters.append(iter(nxt))
-        return True
-
-    for root in range(n):
-        if not obs[root] & a_mask:
-            continue
-        r = enter(root)
-        if isinstance(r, PathWitness):
-            return r
-        while path:
-            child = next(iters[-1], -1)
-            if child < 0:
-                done = path.pop()
-                iters.pop()
-                del pos[done]
-                status[done] = _SAFE
-                continue
-            r = enter(child)
-            if isinstance(r, PathWitness):
-                return r
-    return None
+    roots = (k for k, m in enumerate(system.view_bit) if m & objective.start)
+    found = _explore(system, strategy.choices, objective.corridor,
+                     objective.target, roots, [_UNSEEN] * len(system.states), [])
+    if found is None:
+        return None
+    reason, path, loop_start = found
+    return PathWitness(tuple(system.states[k] for k in path), reason, loop_start)
 
 
 def verify_witness(
@@ -437,13 +448,13 @@ def verify_witness(
     except KeyError as e:
         return [str(e)]
     a_mask, b_mask, c_mask = objective.start, objective.corridor, objective.target
-    obs = system._obs_mask
+    obs = system.view_bit
 
     if not obs[idxs[0]] & a_mask:
         problems.append(f"first state {sts[0]!r} does not observe a start view")
     for here, there in zip(idxs, idxs[1:]):
-        instr = strategy.choices[system._observation[here]]
-        if there not in system._succ[here][instr]:
+        instr = strategy.choices[system.view_of[here]]
+        if there not in system.succ[here][instr]:
             problems.append(
                 f"{system.states[here]!r} does not step to {system.states[there]!r} "
                 f"under the strategy"
@@ -465,16 +476,16 @@ def verify_witness(
             problems.append("dead_end witness carries a loop_start")
         if obs[last] & c_mask:
             problems.append(f"final state {sts[-1]!r} observes a target view")
-        instr = strategy.choices[system._observation[last]]
-        if system._succ[last][instr]:
+        instr = strategy.choices[system.view_of[last]]
+        if system.succ[last][instr]:
             problems.append(f"final state {sts[-1]!r} still has successors under the strategy")
     elif witness.reason == NEVER_REACHES:
         ls = witness.loop_start
         if ls is None or not 0 <= ls < len(idxs):
             problems.append("never_reaches witness needs a loop_start inside the run")
         else:
-            instr = strategy.choices[system._observation[last]]
-            if idxs[ls] not in system._succ[last][instr]:
+            instr = strategy.choices[system.view_of[last]]
+            if idxs[ls] not in system.succ[last][instr]:
                 problems.append("lasso does not close under the strategy")
     else:
         problems.append(f"unknown witness reason {witness.reason!r}")

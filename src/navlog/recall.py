@@ -81,11 +81,11 @@ def belief_successors(
     instr = system.instruction_index(instruction)
     by_view: Dict[str, set[str]] = {}
     for name in belief.possible:
-        nxt = system._succ[system.state_index(name)][instr]
+        nxt = system.succ[system.state_index(name)][instr]
         if not nxt:
             return DEAD_END
         for t in nxt:
-            by_view.setdefault(system.universe.names[system._observation[t]],
+            by_view.setdefault(system.universe.names[system.view_of[t]],
                                set()).add(system.states[t])
     return frozenset(Belief(v, frozenset(states)) for v, states in by_view.items())
 
@@ -164,39 +164,47 @@ def verify_recall_witness(system: EpistemicTransitionSystem, atom: Atom,
     """Independently replay a recall witness; returns all defects found.
 
     Simulates every environment resolution: from each initial belief, follow
-    the witness instruction and recurse into all successor beliefs.  Every
+    the witness instruction into all successor beliefs, depth first.  Every
     branch must reach a target view with all earlier views in the corridor,
-    and must do so without revisiting a belief (the fixpoint ranking makes
-    witness play well-founded)."""
+    and must do so without revisiting a belief on its own branch (the
+    fixpoint ranking makes witness play well-founded).  A belief counts as
+    settled once all of its branches have been walked."""
     universe = system.universe
     _, corridor_mask, target_mask = atom.masks(universe)
     problems: list[str] = []
     settled: set[Belief] = set()
-
-    def walk(bel: Belief, chain: frozenset) -> None:
+    path: list[Belief] = []
+    on_path: set[Belief] = set()
+    iters = [iter(initial_beliefs(system, atom.start))]
+    while iters:
+        bel = next(iters[-1], None)
+        if bel is None:
+            iters.pop()
+            if path:
+                done = path.pop()
+                on_path.remove(done)
+                settled.add(done)
+            continue
         if bel in settled:
-            return
+            continue
         bit = 1 << universe.index(bel.view)
         if bit & target_mask:
             settled.add(bel)
-            return
+            continue
         if not bit & corridor_mask:
             problems.append(f"{bel!r} sits outside corridor and target")
-            return
-        if bel in chain:
+            continue
+        if bel in on_path:
             problems.append(f"witness play revisits {bel!r}")
-            return
+            continue
         if bel not in witness:
             problems.append(f"witness has no instruction for {bel!r}")
-            return
+            continue
         succs = belief_successors(system, bel, witness[bel])
         if succs is DEAD_END:
             problems.append(f"witness instruction dead-ends at {bel!r}")
-            return
-        for nb in succs:
-            walk(nb, chain | {bel})
-        settled.add(bel)
-
-    for bel in initial_beliefs(system, atom.start):
-        walk(bel, frozenset())
+            continue
+        path.append(bel)
+        on_path.add(bel)
+        iters.append(iter(succs))
     return problems

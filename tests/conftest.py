@@ -48,3 +48,12 @@ def small_random_system(rng: random.Random, max_views: int = 3,
                 if rng.random() < density:
                     transitions.append((name, instr, other))
     return EpistemicTransitionSystem.build(views, instructions, states, transitions)
+
+
+def two_way_chain(n: int) -> EpistemicTransitionSystem:
+    """States s0..s(n-1), sk observing vk; instruction 0 steps back, 1 forward."""
+    views = tuple(f"v{k}" for k in range(n))
+    states = [(f"s{k}", f"v{k}") for k in range(n)]
+    transitions = [(f"s{k}", "1", f"s{k + 1}") for k in range(n - 1)]
+    transitions += [(f"s{k}", "0", f"s{k - 1}") for k in range(1, n)]
+    return EpistemicTransitionSystem.build(views, ("0", "1"), states, transitions)

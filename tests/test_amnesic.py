@@ -10,11 +10,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0_GRID, small_random_system
+from conftest import T0_GRID, small_random_system, two_way_chain
 from _oracles import find_witness_by_enumeration, holds_by_enumeration
 
 from navlog.amnesic import (check_atom_amnesic, evaluate, navigability_table)
 from navlog.core import AmnesicStrategy, UntilObjective, check_strategy
+from navlog.recall import check_atom_recall
 from navlog.syntax import Atom, AtomNode, Implies, Not, parse_formula
 
 
@@ -93,6 +94,16 @@ class TestWitnesses:
         atom = atom_over(t0, ["v1"], corridor, ["v3"])
         assert not check_atom_amnesic(t0, atom).holds
 
+    def test_deep_chain_has_no_recursion_limit(self):
+        # Each view of the chain is assigned in turn, so the backtracking
+        # stack is as deep as the chain is long.
+        chain = two_way_chain(1500)
+        atom = atom_over(chain, ["v0"], chain.universe.names, ["v1499"])
+        decision = check_atom_amnesic(chain, atom, canonical_witness=False)
+        assert decision.holds
+        objective = UntilObjective(*atom.masks(chain.universe))
+        assert check_strategy(chain, decision.witness, objective) is None
+
     def test_stats_populated(self, t0):
         decision = check_atom_amnesic(
             t0, atom_over(t0, ["v3"], t0.universe.names, ["v1"]))
@@ -131,6 +142,20 @@ class TestEvaluate:
             b = AtomNode(Atom.over(u, pick(), names, pick()))
             f = Implies(Not(a), b) if rng.random() < 0.5 else Not(Implies(a, b))
             assert evaluate(t0, f) == reference(f)
+
+    def test_recall_mode_matches_recall_checker(self, t0, t1):
+        for system in (t0, t1):
+            names = system.universe.names
+            for start in names:
+                for target in names:
+                    atom = atom_over(system, [start], names, [target])
+                    want = check_atom_recall(system, atom).holds
+                    assert evaluate(system, AtomNode(atom), mode="recall") == want
+                    assert evaluate(system, Not(AtomNode(atom)), "recall") != want
+        u = t1.universe
+        joint = parse_formula("nav({vb,vf}; ALL; {vd})", u)
+        assert evaluate(t1, joint, "recall") and not evaluate(t1, joint)
+        assert not evaluate(t1, Implies(joint, Not(joint)), "recall")
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,11 +9,11 @@ import json
 import jsonschema
 import pytest
 
-from conftest import T0_GRID
+from conftest import T0_GRID, two_way_chain
 
 from navlog.cli import REPORT_SCHEMA, TABLE_SCHEMA, run_cli
 from navlog.fixtures import T0_ETS, T1_ETS
-from navlog.syntax import parse_system
+from navlog.syntax import parse_system, render_system
 
 LEX_LEAST_V1_TO_V3 = {"v1": "1", "v2": "1", "v3": "0",
                       "v4": "0", "v5": "1", "v6": "0"}
@@ -112,6 +112,22 @@ class TestEval:
         code, out, _ = run(capsys, "eval", t0_path, "nav({v3}; ALL; {v1})",
                            "--fail-on-false")
         assert code == 1 and "false" in out
+
+    def test_deep_chain(self, capsys, tmp_path):
+        path = tmp_path / "chain.ets"
+        path.write_text(render_system(two_way_chain(1500)))
+        code, report = run_json(capsys, "eval", str(path),
+                                "nav({v0}; ALL; {v1499})", "--json")
+        assert code == 0 and report["holds"] is True
+
+    def test_internal_failure_exits_3(self, capsys, t0_path):
+        # The formula parser recurses once per operator, so this nesting
+        # exceeds Python's recursion limit.
+        code, out, err = run(capsys, "eval", t0_path,
+                             "!" * 5000 + "nav({v1}; ALL; {v6})")
+        assert code == 3 and out == ""
+        assert err.startswith("navlog: internal error: RecursionError: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestTable:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import small_random_system
 
 from navlog.amnesic import check_atom_amnesic
+from navlog.core import EpistemicTransitionSystem
 from navlog.recall import (DEAD_END, Belief, belief_successors,
                            check_atom_recall, initial_beliefs,
                            verify_recall_witness)
@@ -31,7 +32,6 @@ class TestBeliefs:
                            Belief("vc", frozenset({"c", "e"})))
 
     def test_initial_beliefs_skip_empty_classes(self):
-        from navlog.core import EpistemicTransitionSystem
         system = EpistemicTransitionSystem.build(
             views=("v", "ghost"), instructions=("0",), states=[("s", "v")])
         assert initial_beliefs(system, ["ghost"]) == ()
@@ -107,6 +107,29 @@ class TestWitnessChecking:
         witness = dict(check_atom_recall(t1, atom).witness)
         witness.pop(next(iter(witness)))
         assert verify_recall_witness(t1, atom, witness) != []
+
+    def test_cyclic_witness_is_rejected(self):
+        system = EpistemicTransitionSystem.build(
+            views=("a", "b", "c"), instructions=("x", "y"),
+            states=[("sa", "a"), ("sb", "b"), ("sc", "c")],
+            transitions=[("sa", "x", "sb"), ("sb", "x", "sa"),
+                         ("sb", "y", "sc")])
+        atom = atom_over(system, ["a"], ["a", "b"], ["c"])
+        at_a, at_b = Belief("a", frozenset({"sa"})), Belief("b", frozenset({"sb"}))
+        assert verify_recall_witness(system, atom, {at_a: "x", at_b: "x"}) == [
+            "witness play revisits Belief(a, {sa})"]
+        assert verify_recall_witness(system, atom, {at_a: "x", at_b: "y"}) == []
+
+    def test_long_chain_witness_replays(self):
+        n = 1500
+        views = [f"v{k}" for k in range(n)]
+        system = EpistemicTransitionSystem.build(
+            views=views, instructions=("0",),
+            states=[(f"s{k}", f"v{k}") for k in range(n)],
+            transitions=[(f"s{k}", "0", f"s{k + 1}") for k in range(n - 1)])
+        atom = atom_over(system, ["v0"], views, [f"v{n - 1}"])
+        witness = {Belief(f"v{k}", frozenset({f"s{k}"})): "0" for k in range(n - 1)}
+        assert verify_recall_witness(system, atom, witness) == []
 
 
 @settings(max_examples=150, deadline=None)
