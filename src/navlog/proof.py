@@ -11,6 +11,12 @@ triples.  Six rules generate the closure of a set of assumed atoms:
     zero_step       from (A, {}, C) infer (A minus C, {}, {})
     empty_target    from (A, B, {}) infer (A, {}, {})
 
+Each rule is stated once: reflexivity, with the assumptions, in `_axioms`, and
+the other five in the rule step `_fire`.  `saturate` fires that step on every
+atom of a worklist; `is_closed` and `verify_provenance` replay the same step,
+so the independent check of the rules themselves is the round-based closure
+the tests keep (tests/_oracles.py).
+
 Saturation enumerates the whole (2^|V|)^3 atom space in the worst case, so
 the universe size is capped (default 5 views; NAVLOG_MAX_VIEWS overrides).
 Each derived atom records the first derivation that produced it, and
@@ -24,6 +30,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple
 
 from .core import Universe
@@ -90,6 +97,66 @@ class Closure:
         return tuple(self.atom(k) for k in sorted(self.assumptions))
 
 
+def _axioms(full: int, assumed: Iterable[Key]):
+    """The premise-free steps: every reflexive atom, then the assumptions."""
+    for c in range(full + 1):
+        for a in _submasks(c):
+            for b in range(full + 1):
+                yield (a, b, c), REFLEXIVITY, ()
+    for key in sorted(assumed):
+        yield key, ASSUMPTION, ()
+
+
+def _fire(t: Key, full: int, by_start: Dict[int, list[Key]],
+          by_target: Dict[int, list[Key]], add) -> None:
+    """Pass `add(key, rule, premises)` every step with `t` as a premise.
+
+    The other transitivity premise comes from the atoms indexed by start (`t`
+    on the left) or by target (`t` on the right), each index as it stands
+    when its loop begins.  Partner checks stay inline: saturation examines
+    far more transitivity pairs than it derives atoms.
+    """
+    a, b, c = t
+    for d in range(full + 1):
+        add((a | d, b, c | d), AUGMENTATION, (t,))
+    add((a, b & ~c, c), TRIM_CORRIDOR, (t,))
+    if b == 0:
+        add((a & ~c, 0, 0), ZERO_STEP, (t,))
+    if c == 0:
+        add((a, 0, 0), EMPTY_TARGET, (t,))
+    for left in (True, False):
+        for u in tuple(by_start.get(c, ()) if left else by_target.get(a, ())):
+            if not b & u[1]:
+                pair = (t, u) if left else (u, t)
+                add((pair[0][0], b | u[1], pair[1][2]), TRANSITIVITY, pair)
+
+
+def _close(full: int, seeds: Iterable[tuple]) -> Dict[Key, Tuple[str, Tuple[Key, ...]]]:
+    """Close the seed steps under the rules; maps each atom to its first step.
+
+    A worklist: each atom fires once, when popped, against every atom derived
+    so far, so each pair of transitivity premises meets when the later pops.
+    """
+    provenance: Dict[Key, Tuple[str, Tuple[Key, ...]]] = {}
+    by_start: Dict[int, list[Key]] = {}
+    by_target: Dict[int, list[Key]] = {}
+    queue: deque[Key] = deque()
+
+    def add(key: Key, rule: str, premises: Tuple[Key, ...]) -> None:
+        if key in provenance:
+            return
+        provenance[key] = (rule, premises)
+        by_start.setdefault(key[0], []).append(key)
+        by_target.setdefault(key[2], []).append(key)
+        queue.append(key)
+
+    for step in seeds:
+        add(*step)
+    while queue:
+        _fire(queue.popleft(), full, by_start, by_target, add)
+    return provenance
+
+
 def saturate(universe: Universe, assumptions: Iterable[Atom] = (),
              max_views: Optional[int] = None) -> Closure:
     """Close a set of assumed atoms under the six rules.
@@ -106,86 +173,24 @@ def saturate(universe: Universe, assumptions: Iterable[Atom] = (),
         raise UniverseTooLarge(
             f"universe has {n} views; saturation is capped at {cap} "
             f"(set NAVLOG_MAX_VIEWS or max_views to raise the cap)")
-    full = universe.full
-
-    derived: set[Key] = set()
-    provenance: Dict[Key, Tuple[str, Tuple[Key, ...]]] = {}
-    by_start: Dict[int, list[Key]] = {}
-    by_target: Dict[int, list[Key]] = {}
-    queue: deque[Key] = deque()
-
-    def add(key: Key, rule: str, premises: Tuple[Key, ...]) -> None:
-        if key in derived:
-            return
-        derived.add(key)
-        provenance[key] = (rule, premises)
-        by_start.setdefault(key[0], []).append(key)
-        by_target.setdefault(key[2], []).append(key)
-        queue.append(key)
-
-    for c in range(full + 1):
-        for a in _submasks(c):
-            for b in range(full + 1):
-                add((a, b, c), REFLEXIVITY, ())
-
     assumed = frozenset(atom.masks(universe) for atom in assumptions)
-    for key in sorted(assumed):
-        add(key, ASSUMPTION, ())
-
-    while queue:
-        t = queue.popleft()
-        a, b, c = t
-        for d in range(full + 1):
-            add((a | d, b, c | d), AUGMENTATION, (t,))
-        add((a, b & ~c, c), TRIM_CORRIDOR, (t,))
-        if b == 0:
-            add((a & ~c, 0, 0), ZERO_STEP, (t,))
-        if c == 0:
-            add((a, 0, 0), EMPTY_TARGET, (t,))
-        for u in tuple(by_start.get(c, ())):
-            if not b & u[1]:
-                add((a, b | u[1], u[2]), TRANSITIVITY, (t, u))
-        for u in tuple(by_target.get(a, ())):
-            if not u[1] & b:
-                add((u[0], u[1] | b, c), TRANSITIVITY, (u, t))
-
-    return Closure(universe, assumed, frozenset(derived), provenance, sealed=True)
+    provenance = _close(universe.full, _axioms(universe.full, assumed))
+    return Closure(universe, assumed, frozenset(provenance), provenance, sealed=True)
 
 
 def is_closed(closure: Closure) -> bool:
-    """True when no rule application adds an atom to `derived`.
+    """True when `derived` holds every axiom and no rule application adds to it.
 
-    Single sweep, no worklist: enough because a set is a fixpoint iff one
-    round of every rule is a no-op.  Saturate-produced closures pass by
-    construction; hand-assembled ones get checked before model building.
+    Closes `derived` together with the reflexive atoms and the assumptions by
+    the rule step saturation uses, and asks whether anything new appears.
+    Saturate-produced closures pass by construction; hand-assembled ones get
+    checked before model building.
     """
     full = closure.universe.full
     derived = closure.derived
-    if not closure.assumptions <= derived:
-        return False
-    for c in range(full + 1):
-        for a in _submasks(c):
-            for b in range(full + 1):
-                if (a, b, c) not in derived:
-                    return False
-    by_start: Dict[int, list[Key]] = {}
-    for key in derived:
-        by_start.setdefault(key[0], []).append(key)
-    for t in derived:
-        a, b, c = t
-        for d in range(full + 1):
-            if (a | d, b, c | d) not in derived:
-                return False
-        if (a, b & ~c, c) not in derived:
-            return False
-        if b == 0 and (a & ~c, 0, 0) not in derived:
-            return False
-        if c == 0 and (a, 0, 0) not in derived:
-            return False
-        for u in by_start.get(c, ()):
-            if not b & u[1] and (a, b | u[1], u[2]) not in derived:
-                return False
-    return True
+    given = ((key, ASSUMPTION, ()) for key in derived)
+    closed = _close(full, chain(_axioms(full, closure.assumptions), given))
+    return closed.keys() == derived
 
 
 def derives(closure: Closure, atom: Atom) -> bool:
@@ -305,43 +310,23 @@ def check_derived_lemmas(closure: Closure) -> LemmaSweepReport:
 def verify_provenance(closure: Closure) -> list[str]:
     """Replay every recorded derivation step; returns all defects found.
 
-    Checks that premises are themselves derived and that each conclusion is
-    exactly what its rule yields from its premises (side conditions
-    included).
+    Checks that premises are themselves derived and that each recorded step
+    is one the rules produce: a premise-free step must be an axiom, and any
+    other must be among the steps the rule step yields when fired on its
+    first recorded premise with the remaining premises as the only partners.
     """
+    full = closure.universe.full
+    axioms = set(_axioms(full, closure.assumptions))
     problems: list[str] = []
     for key, (rule, premises) in closure.provenance.items():
         for p in premises:
             if p not in closure.derived:
                 problems.append(f"{key}: premise {p} is not derived")
-        if rule == ASSUMPTION:
-            ok = not premises and key in closure.assumptions
-        elif rule == REFLEXIVITY:
-            ok = not premises and not key[0] & ~key[2]
-        elif rule == AUGMENTATION:
-            if len(premises) != 1:
-                ok = False
-            else:
-                a0, b0, c0 = premises[0]
-                d = (key[0] & ~a0) | (key[2] & ~c0)
-                ok = key == (a0 | d, b0, c0 | d)
-        elif rule == TRANSITIVITY:
-            if len(premises) != 2:
-                ok = False
-            else:
-                (a1, b1, c1), (a2, b2, c2) = premises
-                ok = c1 == a2 and not b1 & b2 and key == (a1, b1 | b2, c2)
-        elif rule == TRIM_CORRIDOR:
-            ok = len(premises) == 1 and key == (
-                premises[0][0], premises[0][1] & ~premises[0][2], premises[0][2])
-        elif rule == ZERO_STEP:
-            ok = (len(premises) == 1 and premises[0][1] == 0
-                  and key == (premises[0][0] & ~premises[0][2], 0, 0))
-        elif rule == EMPTY_TARGET:
-            ok = (len(premises) == 1 and premises[0][2] == 0
-                  and key == (premises[0][0], 0, 0))
-        else:
-            ok = False
-        if not ok:
+        steps = axioms
+        if premises:
+            steps = set()
+            _fire(premises[0], full, {p[0]: [p] for p in premises[1:]}, {},
+                  lambda *step: steps.add(step))
+        if (key, rule, premises) not in steps:
             problems.append(f"{key}: rule {rule} does not justify this step")
     return problems

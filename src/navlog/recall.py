@@ -9,6 +9,9 @@ agent must win along every branch.  Choosing an instruction under which any
 possible state halts is losing unless the belief already sits on a target
 view.  An atom holds when every initial belief lies in the least fixpoint of
 "some instruction keeps all successor beliefs winning".
+
+Witnesses follow declaration order: beliefs are discovered and replayed by
+view, then by sorted state indices, so every run gives the same witness.
 """
 
 from __future__ import annotations
@@ -90,6 +93,14 @@ def belief_successors(
     return frozenset(Belief(v, frozenset(states)) for v, states in by_view.items())
 
 
+def _declaration_order(system: EpistemicTransitionSystem):
+    """Sort key for beliefs: view index, then sorted state indices."""
+    def key(belief: Belief):
+        return (system.universe.index(belief.view),
+                sorted(map(system.state_index, belief.possible)))
+    return key
+
+
 @dataclass(frozen=True)
 class RecallDecision:
     """Outcome of one atom under perfect recall.
@@ -108,13 +119,15 @@ def check_atom_recall(system: EpistemicTransitionSystem, atom: Atom) -> RecallDe
 
     Beliefs are discovered lazily from the initial beliefs under every
     instruction; play stops at target views, and a belief off both corridor
-    and target is lost outright.  The winning set grows by rounds: a corridor
-    belief joins when some instruction avoids DEAD_END and sends every
-    successor belief into the current winning set.
+    and target is lost outright; each batch of new beliefs is queued in
+    declaration order.  The winning set grows by rounds: a corridor belief
+    joins when some instruction avoids DEAD_END and sends every successor
+    belief into the current winning set.
     """
     universe = system.universe
     _, corridor_mask, target_mask = atom.masks(universe)
     init = initial_beliefs(system, atom.start)
+    order = _declaration_order(system)
 
     expanded: Dict[Belief, list] = {}        # corridor beliefs -> successors per instruction
     winning: set[Belief] = set()             # target-view beliefs found
@@ -133,10 +146,9 @@ def check_atom_recall(system: EpistemicTransitionSystem, atom: Atom) -> RecallDe
             succs = belief_successors(system, bel, instruction)
             rows.append(succs)
             if succs is not DEAD_END:
-                for nb in succs:
-                    if nb not in seen:
-                        seen.add(nb)
-                        queue.append(nb)
+                fresh = [nb for nb in succs if nb not in seen]
+                seen.update(fresh)
+                queue.extend(sorted(fresh, key=order))
         expanded[bel] = rows
 
     witness: Dict[Belief, str] = {}
@@ -164,13 +176,14 @@ def verify_recall_witness(system: EpistemicTransitionSystem, atom: Atom,
     """Independently replay a recall witness; returns all defects found.
 
     Simulates every environment resolution: from each initial belief, follow
-    the witness instruction into all successor beliefs, depth first.  Every
-    branch must reach a target view with all earlier views in the corridor,
-    and must do so without revisiting a belief on its own branch (the
-    fixpoint ranking makes witness play well-founded).  A belief counts as
-    settled once all of its branches have been walked."""
+    the witness instruction into all successor beliefs, depth first and in
+    declaration order.  Every branch must reach a target view with all
+    earlier views in the corridor, and must do so without revisiting a belief
+    on its own branch (the fixpoint ranking makes witness play well-founded).
+    A belief counts as settled once all of its branches have been walked."""
     universe = system.universe
     _, corridor_mask, target_mask = atom.masks(universe)
+    order = _declaration_order(system)
     problems: list[str] = []
     settled: set[Belief] = set()
     path: list[Belief] = []
@@ -206,5 +219,5 @@ def verify_recall_witness(system: EpistemicTransitionSystem, atom: Atom,
             continue
         path.append(bel)
         on_path.add(bel)
-        iters.append(iter(succs))
+        iters.append(iter(sorted(succs, key=order)))
     return problems

@@ -3,8 +3,9 @@
 Everything here trades speed for obviousness.  A fixed strategy is judged by
 set-based reachability plus Kahn's algorithm, not by the engines' pruned
 depth-first search; navigability is decided by enumerating every total
-strategy.  Keep this module independent of navlog.amnesic and of
-navlog.core.check_strategy so a shared bug cannot hide behind agreement.
+strategy; saturation is redone by whole rounds.  Keep this module independent
+of navlog.amnesic, navlog.core.check_strategy and navlog.proof so a shared bug
+cannot hide behind agreement.
 """
 
 from __future__ import annotations
@@ -88,3 +89,39 @@ def find_witness_by_enumeration(system: EpistemicTransitionSystem,
 
 def holds_by_enumeration(system: EpistemicTransitionSystem, atom: Atom) -> bool:
     return find_witness_by_enumeration(system, atom) is not None
+
+
+def closure_by_rounds(n_views: int, assumptions) -> Set[tuple]:
+    """Least set of (start, corridor, target) mask triples that holds the
+    assumptions and is closed under the six rules, by whole rounds.
+
+    Each round applies every rule to every atom, and transitivity to every
+    ordered pair of atoms, of the set so far; it stops when a round adds
+    nothing.
+    """
+    subsets = range(1 << n_views)
+    atoms = set(assumptions)
+    # reflexivity: (A, B, C) whenever A is a subset of C
+    atoms |= {(a, b, c) for a in subsets for b in subsets for c in subsets
+              if a & c == a}
+    while True:
+        new = set()
+        for a, b, c in atoms:
+            # augmentation: (A, B, C) gives (A+D, B, C+D) for every D
+            new.update((a | d, b, c | d) for d in subsets)
+            # trim_corridor: (A, B, C) gives (A, B-C, C)
+            new.add((a, b & ~c, c))
+            # zero_step: (A, {}, C) gives (A-C, {}, {})
+            if b == 0:
+                new.add((a & ~c, 0, 0))
+            # empty_target: (A, B, {}) gives (A, {}, {})
+            if c == 0:
+                new.add((a, 0, 0))
+            # transitivity: (A, B, C) and (C, D, E), B and D disjoint,
+            # give (A, B+D, E)
+            for c2, d, e in atoms:
+                if c2 == c and b & d == 0:
+                    new.add((a, b | d, e))
+        if new <= atoms:
+            return atoms
+        atoms |= new

@@ -159,6 +159,17 @@ class TestTable:
 
 
 THEORY = ("--views", "x,y", "--assume", "nav({x}; {}; {y})")
+GOLDEN_THEORY = ("--views", "x,y,z", "--assume", "nav({x}; {y}; {z})",
+                 "--assume", "nav({z}; {}; {y})")
+
+
+def node(atom, rule, *premises):
+    return {"atom": atom, "rule": rule, "premises": list(premises)}
+
+
+_XY_TO_YZ = node("nav({x,y}; {}; {y,z})", "trim_corridor",
+                 node("nav({x,y}; {y}; {y,z})", "augmentation",
+                      node("nav({x}; {y}; {z})", "assumption")))
 
 
 class TestTheoryCommands:
@@ -198,6 +209,33 @@ class TestTheoryCommands:
         assert report["tree"]["rule"] == "zero_step"
         assert len(report["tree"]["premises"]) == 1
         assert report["tree"]["premises"][0]["rule"] == "assumption"
+
+    @pytest.mark.parametrize("query, tree", [
+        ("nav({x,y}; {}; {y})",
+         node("nav({x,y}; {}; {y})", "transitivity",
+              _XY_TO_YZ,
+              node("nav({y,z}; {}; {y})", "augmentation",
+                   node("nav({z}; {}; {y})", "assumption")))),
+        ("nav({x,y}; {x}; {y,z})",
+         node("nav({x,y}; {x}; {y,z})", "trim_corridor",
+              node("nav({x,y}; {x,y}; {y,z})", "augmentation",
+                   node("nav({x}; {x,y}; {z})", "transitivity",
+                        node("nav({x}; {x}; {x})", "reflexivity"),
+                        node("nav({x}; {y}; {z})", "assumption"))))),
+        ("nav({x,y}; {z}; {y})",
+         node("nav({x,y}; {z}; {y})", "transitivity",
+              _XY_TO_YZ,
+              node("nav({y,z}; {z}; {y})", "augmentation",
+                   node("nav({z}; {z}; {y})", "transitivity",
+                        node("nav({z}; {}; {y})", "assumption"),
+                        node("nav({y}; {z}; {y})", "reflexivity"))))),
+    ])
+    def test_explain_golden_trees(self, capsys, query, tree):
+        """The recorded derivation is pinned, so a change in the order in
+        which the rules fire shows up as a different tree."""
+        code, report = run_json(capsys, "explain", *GOLDEN_THEORY, query, "--json")
+        assert code == 0
+        assert report == {"query": query, "derivable": True, "tree": tree}
 
     def test_explain_underivable_is_an_answer(self, capsys):
         code, out, _ = run(capsys, "explain", "--views", "x,y",

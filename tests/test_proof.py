@@ -12,11 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import closure_by_rounds
 from conftest import small_random_system
 
 from navlog.amnesic import check_atom_amnesic
 from navlog.core import Universe
-from navlog.proof import (ASSUMPTION, REFLEXIVITY, TRANSITIVITY, ZERO_STEP,
+from navlog.proof import (ASSUMPTION, AUGMENTATION, EMPTY_TARGET,
+                          REFLEXIVITY, TRANSITIVITY, TRIM_CORRIDOR, ZERO_STEP,
                           UniverseTooLarge, check_derived_lemmas, derives,
                           explain, is_closed, saturate, verify_provenance,
                           Closure)
@@ -24,6 +26,7 @@ from navlog.syntax import Atom
 
 XY = Universe(("x", "y"))
 XYZ = Universe(("x", "y", "z"))
+X, Y, Z = 1, 2, 4   # view bits of XYZ
 
 
 def atom(universe, start, corridor, target) -> Atom:
@@ -178,3 +181,62 @@ class TestSweeps:
         clo = saturate(XYZ, assumptions)
         assert check_derived_lemmas(clo).ok
         assert verify_provenance(clo) == []
+
+
+def _random_theory(seed):
+    rng = random.Random(seed)
+    universe = Universe(tuple(f"v{k}" for k in range(1 + seed % 3)))
+    side = 1 << len(universe)
+    return universe, [
+        Atom.from_masks(universe, rng.randrange(side), rng.randrange(side),
+                        rng.randrange(side))
+        for _ in range(rng.randint(0, 4))
+    ]
+
+
+ORACLE_THEORIES = [_random_theory(seed) for seed in range(30)] + [
+    (Universe(("w", "x", "y", "z")), [])]
+
+
+@pytest.mark.parametrize("universe, assumptions", ORACLE_THEORIES)
+def test_saturation_matches_round_based_closure(universe, assumptions):
+    """is_closed and verify_provenance replay the engine's own rule step, so
+    only this oracle checks that step against the rules as written."""
+    expected = closure_by_rounds(
+        len(universe), [a.masks(universe) for a in assumptions])
+    assert saturate(universe, assumptions).derived == expected
+
+
+# One corrupted step per defect verify_provenance must report, in the theory
+# nav({x}; {y}; {z}), nav({z}; {}; {y}).
+BROKEN_STEPS = {
+    "wrong rule label": ((X | Y, Y, Y | Z), TRIM_CORRIDOR, ((X, Y, Z),)),
+    "wrong premise count": ((X | Y, Y, Y | Z), AUGMENTATION,
+                            ((X, Y, Z), (X, Y, Z))),
+    "overlapping corridors": ((X, Y, Y), TRANSITIVITY, ((X, Y, Z), (Z, Y, Y))),
+    "middle sets differ": ((X, Y, Y), TRANSITIVITY, ((X, Y, Z), (Y, 0, Y))),
+    "zero_step, nonempty corridor": ((X, 0, 0), ZERO_STEP, ((X, Y, Z),)),
+    "empty_target, nonempty target": ((X, 0, 0), EMPTY_TARGET, ((X, Y, Z),)),
+    "augmentation does not follow": ((X | Y, 0, Y | Z), AUGMENTATION,
+                                     ((X, Y, Z),)),
+    "trim does not follow": ((X, Y | Z, Z), TRIM_CORRIDOR, ((X, Y | Z, Z),)),
+    "underived premise": ((Y, 0, X | Y), AUGMENTATION, ((Y, 0, X),)),
+    "reflexivity, start not in target": ((X, Y, Z), REFLEXIVITY, ()),
+    "not an assumption": ((X, Y, Y), ASSUMPTION, ()),
+}
+
+
+@pytest.mark.parametrize("step", BROKEN_STEPS.values(), ids=list(BROKEN_STEPS))
+def test_verify_provenance_reports_a_corrupted_step(step):
+    key, rule, premises = step
+    clo = saturate(XYZ, [atom(XYZ, ["x"], ["y"], ["z"]),
+                         atom(XYZ, ["z"], [], ["y"])])
+    assert key in clo.derived
+    broken = Closure(XYZ, clo.assumptions, clo.derived,
+                     {**clo.provenance, key: (rule, premises)})
+    underived = [p for p in premises if p not in clo.derived]
+    if underived:   # the step itself is a valid rule instance
+        expected = [f"{key}: premise {p} is not derived" for p in underived]
+    else:
+        expected = [f"{key}: rule {rule} does not justify this step"]
+    assert verify_provenance(broken) == expected

@@ -6,19 +6,25 @@ with two look-alike states (c and e share a view) pins the places where
 recall genuinely beats forgetfulness.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_random_system
 
+import navlog
 from navlog.amnesic import check_atom_amnesic
 from navlog.core import EpistemicTransitionSystem
+from navlog.fuzz import FuzzConfig, generate_random_system
 from navlog.recall import (DEAD_END, Belief, belief_successors,
                            check_atom_recall, initial_beliefs,
                            verify_recall_witness)
-from navlog.syntax import Atom
+from navlog.syntax import Atom, render_system
 
 
 def atom_over(system, start, corridor, target) -> Atom:
@@ -130,6 +136,28 @@ class TestWitnessChecking:
         atom = atom_over(system, ["v0"], views, [f"v{n - 1}"])
         witness = {Belief(f"v{k}", frozenset({f"s{k}"})): "0" for k in range(n - 1)}
         assert verify_recall_witness(system, atom, witness) == []
+
+
+def test_witness_output_is_independent_of_the_hash_seed(tmp_path):
+    """Beliefs are frozensets, whose iteration order follows PYTHONHASHSEED;
+    the printed witness must not."""
+    config = FuzzConfig(seed=0, max_states=14, max_views=4,
+                        max_instructions=3, density=0.2)
+    path = tmp_path / "system.ets"
+    path.write_text(render_system(generate_random_system(config, 9)))
+    src = str(Path(navlog.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "navlog.cli", "check", str(path),
+             "nav({v2}; ALL; {v3})", "--mode", "recall", "--witness"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert "HOLDS [recall]" in outputs[0]
+    assert outputs[0] == outputs[1]
 
 
 @settings(max_examples=150, deadline=None)
