@@ -27,8 +27,7 @@ from .proof import (ASSUMPTION, AUGMENTATION, EMPTY_TARGET, REFLEXIVITY,
                     DerivationTree, LemmaSweepReport, LemmaViolation,
                     UniverseTooLarge, check_derived_lemmas, derives, explain,
                     is_closed, saturate, verify_provenance)
-from .recall import (Belief, RecallDecision, belief_successors,
-                     check_atom_recall, initial_beliefs,
+from .recall import (Belief, RecallDecision, check_atom_recall,
                      verify_recall_witness)
 from .syntax import (Atom, AtomNode, Formula, Implies, Not, ParseError,
                      as_atom, parse_formula, parse_system, render_formula,
@@ -50,8 +49,7 @@ __all__ = [
     "AmnesicDecision", "check_atom_amnesic", "evaluate",
     "NavigabilityTable", "navigability_table",
     # recall
-    "Belief", "RecallDecision", "initial_beliefs", "belief_successors",
-    "check_atom_recall", "verify_recall_witness",
+    "Belief", "RecallDecision", "check_atom_recall", "verify_recall_witness",
     # proof
     "ASSUMPTION", "REFLEXIVITY", "AUGMENTATION", "TRANSITIVITY",
     "TRIM_CORRIDOR", "ZERO_STEP", "EMPTY_TARGET", "Closure",

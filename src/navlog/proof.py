@@ -18,7 +18,7 @@ so the independent check of the rules themselves is the round-based closure
 the tests keep (tests/_oracles.py).
 
 Saturation enumerates the whole (2^|V|)^3 atom space in the worst case, so
-the universe size is capped (default 5 views; NAVLOG_MAX_VIEWS overrides).
+the universe size is capped (default 5 views; `max_views` overrides).
 Each derived atom records the first derivation that produced it, and
 `explain` rebuilds that derivation as a tree.  `check_derived_lemmas` sweeps
 five closure properties that the rules are supposed to subsume; any violation
@@ -27,7 +27,6 @@ means the engine itself is broken.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
@@ -163,16 +162,14 @@ def saturate(universe: Universe, assumptions: Iterable[Atom] = (),
 
     Deterministic: rule applications fire in a fixed order, so the recorded
     provenance is reproducible.  Raises UniverseTooLarge past the cap
-    (max_views argument, else NAVLOG_MAX_VIEWS, else 5).
+    (max_views argument, else 5).
     """
-    cap = max_views
-    if cap is None:
-        cap = int(os.environ.get("NAVLOG_MAX_VIEWS", DEFAULT_MAX_VIEWS))
+    cap = DEFAULT_MAX_VIEWS if max_views is None else max_views
     n = len(universe)
     if n > cap:
         raise UniverseTooLarge(
             f"universe has {n} views; saturation is capped at {cap} "
-            f"(set NAVLOG_MAX_VIEWS or max_views to raise the cap)")
+            f"(pass max_views or --max-views to raise the cap)")
     assumed = frozenset(atom.masks(universe) for atom in assumptions)
     provenance = _close(universe.full, _axioms(universe.full, assumed))
     return Closure(universe, assumed, frozenset(provenance), provenance, sealed=True)
@@ -215,14 +212,17 @@ class DerivationTree:
 def explain(closure: Closure, atom: Atom) -> DerivationTree:
     """Rebuild the recorded derivation of an atom.
 
-    Raises ValueError when the atom is not in the closure.  Shared premises
-    become shared subtrees; the recorded provenance is well-founded (every
-    premise predates its conclusion), so reconstruction always terminates.
+    Raises ValueError when the atom is not in the closure, or when its
+    recorded derivation is not well-founded (an atom met again while its
+    own premises are still being rebuilt).  Shared premises become shared
+    subtrees.  Saturation records every premise before its conclusion, so
+    its closures always rebuild.
     """
     root = atom.masks(closure.universe)
     if root not in closure.derived:
         raise ValueError(f"atom {atom} is not derivable from the assumptions")
     memo: Dict[Key, DerivationTree] = {}
+    opened: set[Key] = set()      # expanded, premises not yet all rebuilt
     stack = [root]
     while stack:
         key = stack[-1]
@@ -232,6 +232,11 @@ def explain(closure: Closure, atom: Atom) -> DerivationTree:
         rule, premises = closure.provenance[key]
         pending = [p for p in premises if p not in memo]
         if pending:
+            if key in opened:
+                raise ValueError(
+                    f"recorded derivation of {atom} is not well-founded: "
+                    f"{closure.atom(key)} depends on itself")
+            opened.add(key)
             stack.extend(pending)
             continue
         memo[key] = DerivationTree(closure.atom(key), rule,
@@ -314,10 +319,15 @@ def verify_provenance(closure: Closure) -> list[str]:
     is one the rules produce: a premise-free step must be an axiom, and any
     other must be among the steps the rule step yields when fired on its
     first recorded premise with the remaining premises as the only partners.
+    Then reports, in provenance order, every atom whose derivation is not
+    well-founded (it leads back into a cycle); a step already reported as
+    unjustified counts as a leaf there.
     """
     full = closure.universe.full
     axioms = set(_axioms(full, closure.assumptions))
     problems: list[str] = []
+    waiting: Dict[Key, set[Key]] = {}     # recorded premises not yet founded
+    users: Dict[Key, list[Key]] = {}
     for key, (rule, premises) in closure.provenance.items():
         for p in premises:
             if p not in closure.derived:
@@ -329,4 +339,15 @@ def verify_provenance(closure: Closure) -> list[str]:
                   lambda *step: steps.add(step))
         if (key, rule, premises) not in steps:
             problems.append(f"{key}: rule {rule} does not justify this step")
-    return problems
+            premises = ()                 # reported: a leaf from here on
+        waiting[key] = {p for p in premises if p in closure.provenance}
+        for p in waiting[key]:
+            users.setdefault(p, []).append(key)
+    founded = [key for key, pending in waiting.items() if not pending]
+    for done in founded:                  # grows as atoms become founded
+        for user in users.get(done, ()):
+            waiting[user].discard(done)
+            if not waiting[user]:
+                founded.append(user)
+    return problems + [f"{key}: derivation is not well-founded"
+                       for key, pending in waiting.items() if pending]

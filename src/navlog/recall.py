@@ -10,36 +10,25 @@ possible state halts is losing unless the belief already sits on a target
 view.  An atom holds when every initial belief lies in the least fixpoint of
 "some instruction keeps all successor beliefs winning".
 
-Witnesses follow declaration order: beliefs are discovered and replayed by
-view, then by sorted state indices, so every run gives the same witness.
+The engine runs on the system's integer tables (`view_of`, `succ`): a belief
+is (view index, sorted tuple of state indices), whose plain tuple order is
+declaration order.  Beliefs are discovered and replayed in that order, so every
+run gives the same witness.  Names appear only in `Belief`, built when a
+witness is returned and when `verify_recall_witness` looks up an entry.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Union
+from typing import Dict, FrozenSet, Iterable, Optional
 
 from .core import EpistemicTransitionSystem
 from .syntax import Atom
 
-__all__ = [
-    "Belief", "DEAD_END", "RecallDecision",
-    "initial_beliefs", "belief_successors", "check_atom_recall",
-    "verify_recall_witness",
-]
+__all__ = ["Belief", "RecallDecision", "check_atom_recall", "verify_recall_witness"]
 
-
-class _DeadEndFlag:
-    """Marker: under this instruction some possible state has no successor."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "DEAD_END"
-
-
-DEAD_END = _DeadEndFlag()
+_Key = tuple[int, tuple[int, ...]]   # (view index, sorted state indices)
 
 
 @dataclass(frozen=True)
@@ -53,52 +42,46 @@ class Belief:
         return f"Belief({self.view}, {{{','.join(sorted(self.possible))}}})"
 
 
-def initial_beliefs(system: EpistemicTransitionSystem,
-                    start_views: Iterable[str]) -> tuple[Belief, ...]:
+def _belief(system: EpistemicTransitionSystem, key: _Key) -> Belief:
+    view, states = key
+    return Belief(system.universe.names[view],
+                  frozenset(system.states[s] for s in states))
+
+
+def _split(system: EpistemicTransitionSystem, states: Iterable[int]) -> list[_Key]:
+    """The beliefs a set of possible states splits into by view, sorted."""
+    by_view: Dict[int, list[int]] = {}
+    for s in sorted(states):
+        by_view.setdefault(system.view_of[s], []).append(s)
+    return sorted((v, tuple(ss)) for v, ss in by_view.items())
+
+
+def _initial(system: EpistemicTransitionSystem, start_mask: int) -> list[_Key]:
     """One belief per start view that is observed by at least one state.
 
     At the first observation the agent has no history, so the possible set is
     the whole view class.  Views observing no state contribute nothing.
-    Ordered by view declaration.
     """
-    start = set(start_views)
-    out = []
-    for view in system.universe:
-        if view in start:
-            states = system.states_observing(view)
-            if states:
-                out.append(Belief(view, frozenset(states)))
-    return tuple(out)
+    return _split(system, [s for s, v in enumerate(system.view_of)
+                           if start_mask >> v & 1])
 
 
-def belief_successors(
-    system: EpistemicTransitionSystem, belief: Belief, instruction: str
-) -> Union[FrozenSet[Belief], _DeadEndFlag]:
-    """Beliefs reachable in one step, or DEAD_END.
+def _step(system: EpistemicTransitionSystem, key: _Key,
+          instr: int) -> Optional[list[_Key]]:
+    """Successor beliefs under instruction index `instr`, sorted, or None.
 
-    DEAD_END whenever any possible state has no successor under the
-    instruction (the run might halt there, which the agent cannot rule out).
-    Otherwise the union of all successors, partitioned by view: the next
-    observation tells the agent which block it is in, nothing more.
+    None whenever any possible state has no successor under the instruction
+    (the run might halt there, which the agent cannot rule out).  Otherwise
+    the union of all successors, split by view: the next observation tells
+    the agent which block it is in, nothing more.
     """
-    instr = system.instruction_index(instruction)
-    by_view: Dict[str, set[str]] = {}
-    for name in belief.possible:
-        nxt = system.succ[system.state_index(name)][instr]
+    reached: set[int] = set()
+    for s in key[1]:
+        nxt = system.succ[s][instr]
         if not nxt:
-            return DEAD_END
-        for t in nxt:
-            by_view.setdefault(system.universe.names[system.view_of[t]],
-                               set()).add(system.states[t])
-    return frozenset(Belief(v, frozenset(states)) for v, states in by_view.items())
-
-
-def _declaration_order(system: EpistemicTransitionSystem):
-    """Sort key for beliefs: view index, then sorted state indices."""
-    def key(belief: Belief):
-        return (system.universe.index(belief.view),
-                sorted(map(system.state_index, belief.possible)))
-    return key
+            return None
+        reached.update(nxt)
+    return _split(system, reached)
 
 
 @dataclass(frozen=True)
@@ -121,54 +104,52 @@ def check_atom_recall(system: EpistemicTransitionSystem, atom: Atom) -> RecallDe
     instruction; play stops at target views, and a belief off both corridor
     and target is lost outright; each batch of new beliefs is queued in
     declaration order.  The winning set grows by rounds: a corridor belief
-    joins when some instruction avoids DEAD_END and sends every successor
-    belief into the current winning set.
+    joins when some instruction lets no possible state halt and sends every
+    successor belief into the current winning set.
     """
-    universe = system.universe
-    _, corridor_mask, target_mask = atom.masks(universe)
-    init = initial_beliefs(system, atom.start)
-    order = _declaration_order(system)
+    start_mask, corridor_mask, target_mask = atom.masks(system.universe)
+    init = _initial(system, start_mask)
 
-    expanded: Dict[Belief, list] = {}        # corridor beliefs -> successors per instruction
-    winning: set[Belief] = set()             # target-view beliefs found
-    seen: set[Belief] = set(init)
+    expanded: Dict[_Key, list] = {}          # corridor beliefs -> successors per instruction
+    winning: set[_Key] = set()               # target-view beliefs found
+    seen: set[_Key] = set(init)
     queue = deque(init)
     while queue:
-        bel = queue.popleft()
-        bit = 1 << universe.index(bel.view)
+        key = queue.popleft()
+        bit = 1 << key[0]
         if bit & target_mask:
-            winning.add(bel)
+            winning.add(key)
             continue
         if not bit & corridor_mask:
             continue
         rows = []
-        for instruction in system.instructions:
-            succs = belief_successors(system, bel, instruction)
+        for instr in range(len(system.instructions)):
+            succs = _step(system, key, instr)
             rows.append(succs)
-            if succs is not DEAD_END:
+            if succs is not None:
                 fresh = [nb for nb in succs if nb not in seen]
                 seen.update(fresh)
-                queue.extend(sorted(fresh, key=order))
-        expanded[bel] = rows
+                queue.extend(fresh)
+        expanded[key] = rows
 
-    witness: Dict[Belief, str] = {}
+    witness: Dict[_Key, int] = {}
     changed = True
     while changed:
         changed = False
-        for bel, rows in expanded.items():
-            if bel in winning:
+        for key, rows in expanded.items():
+            if key in winning:
                 continue
-            for k, succs in enumerate(rows):
-                if succs is DEAD_END:
-                    continue
-                if all(nb in winning for nb in succs):
-                    winning.add(bel)
-                    witness[bel] = system.instructions[k]
+            for instr, succs in enumerate(rows):
+                if succs is not None and all(nb in winning for nb in succs):
+                    winning.add(key)
+                    witness[key] = instr
                     changed = True
                     break
 
-    holds = all(b in winning for b in init)
-    return RecallDecision(holds, witness if holds else None, len(seen))
+    if not all(key in winning for key in init):
+        return RecallDecision(False, None, len(seen))
+    return RecallDecision(True, {_belief(system, key): system.instructions[instr]
+                                 for key, instr in witness.items()}, len(seen))
 
 
 def verify_recall_witness(system: EpistemicTransitionSystem, atom: Atom,
@@ -181,43 +162,38 @@ def verify_recall_witness(system: EpistemicTransitionSystem, atom: Atom,
     earlier views in the corridor, and must do so without revisiting a belief
     on its own branch (the fixpoint ranking makes witness play well-founded).
     A belief counts as settled once all of its branches have been walked."""
-    universe = system.universe
-    _, corridor_mask, target_mask = atom.masks(universe)
-    order = _declaration_order(system)
+    start_mask, corridor_mask, target_mask = atom.masks(system.universe)
     problems: list[str] = []
-    settled: set[Belief] = set()
-    path: list[Belief] = []
-    on_path: set[Belief] = set()
-    iters = [iter(initial_beliefs(system, atom.start))]
+    settled: set[_Key] = set()
+    on_path: Dict[_Key, None] = {}           # the branch walked, in order
+    iters = [iter(_initial(system, start_mask))]
     while iters:
-        bel = next(iters[-1], None)
-        if bel is None:
+        key = next(iters[-1], None)
+        if key is None:
             iters.pop()
-            if path:
-                done = path.pop()
-                on_path.remove(done)
-                settled.add(done)
+            if on_path:
+                settled.add(on_path.popitem()[0])
             continue
-        if bel in settled:
+        if key in settled:
             continue
-        bit = 1 << universe.index(bel.view)
+        bit = 1 << key[0]
         if bit & target_mask:
-            settled.add(bel)
+            settled.add(key)
             continue
+        bel = _belief(system, key)
         if not bit & corridor_mask:
             problems.append(f"{bel!r} sits outside corridor and target")
             continue
-        if bel in on_path:
+        if key in on_path:
             problems.append(f"witness play revisits {bel!r}")
             continue
         if bel not in witness:
             problems.append(f"witness has no instruction for {bel!r}")
             continue
-        succs = belief_successors(system, bel, witness[bel])
-        if succs is DEAD_END:
+        succs = _step(system, key, system.instruction_index(witness[bel]))
+        if succs is None:
             problems.append(f"witness instruction dead-ends at {bel!r}")
             continue
-        path.append(bel)
-        on_path.add(bel)
-        iters.append(iter(sorted(succs, key=order)))
+        on_path[key] = None
+        iters.append(iter(succs))
     return problems

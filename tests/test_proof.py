@@ -7,6 +7,7 @@ are consequences of the rules, so a hit means an engine bug).
 """
 
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -67,14 +68,10 @@ class TestSaturate:
         assert clo.assumptions <= clo.derived
         assert clo.sealed
 
-    def test_size_cap(self, monkeypatch):
+    def test_size_cap(self):
         wide = Universe(tuple(f"v{k}" for k in range(6)))
         with pytest.raises(UniverseTooLarge):
             saturate(wide)
-        monkeypatch.setenv("NAVLOG_MAX_VIEWS", "2")
-        with pytest.raises(UniverseTooLarge):
-            saturate(XYZ)
-        assert len(saturate(XYZ, max_views=3).derived) > 0  # arg beats env
 
 
 class TestFixpointLaws:
@@ -125,6 +122,15 @@ class TestFixpointLaws:
             assert holds(key), Atom.from_masks(universe, *key)
 
 
+def _cyclic_closure() -> Closure:
+    """The one-view closure with (x, {}, x) recorded as an augmentation of
+    itself (D = {}): every step is a rule instance, but the derivation of
+    (x, {}, x) never reaches an axiom."""
+    clo = saturate(Universe(("x",)))
+    clo.provenance[(1, 0, 1)] = (AUGMENTATION, ((1, 0, 1),))
+    return clo
+
+
 class TestExplain:
     def test_reflexive_leaf(self):
         clo = saturate(XY)
@@ -152,6 +158,21 @@ class TestExplain:
         with pytest.raises(ValueError):
             explain(clo, atom(XY, ["x"], [], []))
 
+    def test_cyclic_provenance_raises(self):
+        """A step naming its own conclusion as a premise must not send the
+        rebuild round the loop for ever; the alarm fails the test instead."""
+        def timed_out(signum, frame):
+            raise TimeoutError("explain did not return")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with pytest.raises(ValueError, match="not well-founded"):
+                explain(_cyclic_closure(), Atom.from_masks(Universe(("x",)), 1, 0, 1))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_render_mentions_rules(self):
         clo = saturate(XY, [atom(XY, ["x"], [], ["y"])])
         text = explain(clo, atom(XY, ["x"], [], [])).render()
@@ -163,6 +184,15 @@ class TestSweeps:
         report = check_derived_lemmas(saturate(Universe(("x",))))
         assert report.ok
         assert sum(report.instances.values()) > 0
+
+    def test_cyclic_provenance_is_reported(self):
+        clo = _cyclic_closure()
+        assert verify_provenance(clo) == [
+            "(1, 0, 1): derivation is not well-founded"]
+        clo.provenance[(0, 0, 0)] = (ZERO_STEP, ((1, 0, 1),))   # built on the cycle
+        assert verify_provenance(clo) == [
+            "(0, 0, 0): derivation is not well-founded",
+            "(1, 0, 1): derivation is not well-founded"]
 
     def test_provenance_replays(self):
         clo = saturate(XYZ, [atom(XYZ, ["x"], ["x", "y"], ["z"])])

@@ -6,12 +6,14 @@ with two look-alike states (c and e share a view) pins the places where
 recall genuinely beats forgetfulness.
 """
 
+import json
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,10 +21,11 @@ from conftest import small_random_system
 
 import navlog
 from navlog.amnesic import check_atom_amnesic
+from navlog.cli import run_cli
 from navlog.core import EpistemicTransitionSystem
+from navlog.fixtures import T0_ETS, T1_ETS
 from navlog.fuzz import FuzzConfig, generate_random_system
-from navlog.recall import (DEAD_END, Belief, belief_successors,
-                           check_atom_recall, initial_beliefs,
+from navlog.recall import (Belief, RecallDecision, check_atom_recall,
                            verify_recall_witness)
 from navlog.syntax import Atom, render_system
 
@@ -32,27 +35,42 @@ def atom_over(system, start, corridor, target) -> Atom:
 
 
 class TestBeliefs:
+    """Initial beliefs and the one-step successor relation, seen through the
+    public API: replaying an empty or one-entry witness reports exactly the
+    beliefs play reaches next, in declaration order."""
+
     def test_initial_beliefs_cover_whole_classes(self, t1):
-        beliefs = initial_beliefs(t1, ["vb", "vc"])
-        assert beliefs == (Belief("vb", frozenset({"b"})),
-                           Belief("vc", frozenset({"c", "e"})))
+        atom = atom_over(t1, ["vb", "vc"], t1.universe.names, ["vd"])
+        assert verify_recall_witness(t1, atom, {}) == [
+            "witness has no instruction for Belief(vb, {b})",
+            "witness has no instruction for Belief(vc, {c,e})"]
+        witness = check_atom_recall(t1, atom).witness
+        assert Belief("vc", frozenset({"c", "e"})) in witness
 
     def test_initial_beliefs_skip_empty_classes(self):
         system = EpistemicTransitionSystem.build(
             views=("v", "ghost"), instructions=("0",), states=[("s", "v")])
-        assert initial_beliefs(system, ["ghost"]) == ()
+        atom = atom_over(system, ["ghost"], ["ghost"], ["v"])
+        assert check_atom_recall(system, atom) == RecallDecision(True, {}, 0)
+        assert verify_recall_witness(system, atom, {}) == []
 
     def test_successors_partition_by_view(self, t1):
         fog = Belief("vc", frozenset({"c", "e"}))
-        assert belief_successors(t1, fog, "1") == frozenset({
-            Belief("vd", frozenset({"d"})), Belief("vf", frozenset({"f"}))})
-        assert belief_successors(t1, fog, "0") == frozenset({
-            Belief("vb", frozenset({"b"})), Belief("vd", frozenset({"d"}))})
+        atom = atom_over(t1, ["vc"], t1.universe.names, [])
+        assert verify_recall_witness(t1, atom, {fog: "1"}) == [
+            "witness has no instruction for Belief(vd, {d})",
+            "witness has no instruction for Belief(vf, {f})"]
+        assert verify_recall_witness(t1, atom, {fog: "0"}) == [
+            "witness has no instruction for Belief(vb, {b})",
+            "witness has no instruction for Belief(vd, {d})"]
 
     def test_possible_halt_is_a_dead_end(self, t1):
         parked = Belief("vd", frozenset({"d"}))
-        assert belief_successors(t1, parked, "0") is DEAD_END
-        assert belief_successors(t1, parked, "1") is DEAD_END
+        atom = atom_over(t1, ["vd"], t1.universe.names, ["vb"])
+        for instruction in t1.instructions:
+            assert verify_recall_witness(t1, atom, {parked: instruction}) == [
+                "witness instruction dead-ends at Belief(vd, {d})"]
+        assert check_atom_recall(t1, atom) == RecallDecision(False, None, 1)
 
 
 class TestT1Claims:
@@ -138,13 +156,18 @@ class TestWitnessChecking:
         assert verify_recall_witness(system, atom, witness) == []
 
 
+def _hash_seed_system() -> str:
+    """The fuzz system whose recall witness once followed PYTHONHASHSEED."""
+    config = FuzzConfig(seed=0, max_states=14, max_views=4,
+                        max_instructions=3, density=0.2)
+    return render_system(generate_random_system(config, 9))
+
+
 def test_witness_output_is_independent_of_the_hash_seed(tmp_path):
     """Beliefs are frozensets, whose iteration order follows PYTHONHASHSEED;
     the printed witness must not."""
-    config = FuzzConfig(seed=0, max_states=14, max_views=4,
-                        max_instructions=3, density=0.2)
     path = tmp_path / "system.ets"
-    path.write_text(render_system(generate_random_system(config, 9)))
+    path.write_text(_hash_seed_system())
     src = str(Path(navlog.__file__).resolve().parents[1])
     outputs = []
     for hash_seed in ("0", "1"):
@@ -158,6 +181,53 @@ def test_witness_output_is_independent_of_the_hash_seed(tmp_path):
         outputs.append(proc.stdout)
     assert "HOLDS [recall]" in outputs[0]
     assert outputs[0] == outputs[1]
+
+
+# Full `check --mode recall --json` witness rows as (view, possible,
+# instruction): T1's joint start, the six recall-only T0 cells and the
+# hash-seed reproducer.  The least instruction recorded for each belief
+# follows the fixpoint's in-round order, so a change to that order shows here.
+GOLDEN_RECALL_WITNESSES = {
+    ("t1", "nav({vb,vf}; ALL; {vd})"): [
+        ("vb", ["b"], "0"), ("vc", ["c"], "1"), ("vc", ["e"], "0"),
+        ("vf", ["f"], "0")],
+    ("t0", "nav({v3}; ALL; {v4})"): [
+        ("v1", ["a"], "1"), ("v1", ["g"], "1"), ("v2", ["b"], "1"),
+        ("v3", ["c"], "1"), ("v3", ["c", "e"], "0"), ("v3", ["e"], "0"),
+        ("v5", ["f"], "1"), ("v6", ["h"], "0")],
+    ("t0", "nav({v1}; ALL; {v2})"): [
+        ("v1", ["a"], "1"), ("v1", ["a", "g"], "0"), ("v1", ["g"], "0"),
+        ("v3", ["e"], "1"), ("v5", ["f"], "0"), ("v6", ["h"], "1")],
+    ("t0", "nav({v1}; ALL; {v4})"): [
+        ("v1", ["a"], "1"), ("v1", ["a", "g"], "1"), ("v1", ["g"], "1"),
+        ("v2", ["b"], "1"), ("v3", ["c"], "1"), ("v3", ["e"], "0"),
+        ("v5", ["f"], "1"), ("v6", ["h"], "0")],
+    ("t0", "nav({v1}; ALL; {v5})"): [
+        ("v1", ["a"], "0"), ("v1", ["a", "g"], "0"), ("v1", ["g"], "1"),
+        ("v2", ["b"], "0"), ("v3", ["c"], "0"), ("v6", ["h"], "0")],
+    ("t0", "nav({v2}; ALL; {v5})"): [
+        ("v1", ["a"], "0"), ("v1", ["g"], "1"), ("v2", ["b"], "0"),
+        ("v3", ["c"], "0"), ("v6", ["h"], "0")],
+    ("t0", "nav({v5}; ALL; {v2})"): [
+        ("v1", ["a"], "1"), ("v1", ["g"], "0"), ("v3", ["e"], "1"),
+        ("v5", ["f"], "0"), ("v6", ["h"], "1")],
+    ("hash-seed", "nav({v2}; ALL; {v3})"): [
+        ("v0", ["s3"], "2"), ("v1", ["s1"], "1"), ("v2", ["s0"], "0"),
+        ("v2", ["s0", "s4"], "0"), ("v2", ["s4"], "1")],
+}
+
+
+@pytest.mark.parametrize("system, claim", list(GOLDEN_RECALL_WITNESSES))
+def test_golden_recall_witnesses(tmp_path, capsys, system, claim):
+    text = {"t0": T0_ETS, "t1": T1_ETS, "hash-seed": _hash_seed_system()}[system]
+    path = tmp_path / "system.ets"
+    path.write_text(text)
+    assert run_cli(["check", str(path), claim, "--mode", "recall", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["holds"] is True
+    assert report["witness"] == [
+        {"view": view, "possible": possible, "instruction": instruction}
+        for view, possible, instruction in GOLDEN_RECALL_WITNESSES[(system, claim)]]
 
 
 @settings(max_examples=150, deadline=None)
