@@ -11,6 +11,11 @@ restricted to consulted views).  Each pass over the runs is the depth-first
 explorer `core._explore`, the same one `core.check_strategy` runs under a
 total strategy.  Verdicts are deterministic: start states, successors and
 candidate instructions are always scanned in declaration order.
+
+The witness reported is the lexicographically least one.  Minimisation fixes
+views in declaration order and keeps the last successful assignment: a view
+it never consults takes instruction 0 unsearched, and a consulted view is
+searched only below its current choice, which the assignment proves workable.
 """
 
 from __future__ import annotations
@@ -94,6 +99,9 @@ def check_atom_amnesic(system: EpistemicTransitionSystem, atom: Atom,
     lexicographically least successful strategy under view declaration order,
     found by fixing each view in turn to its least workable instruction;
     views the objective never consults end up with instruction index 0.
+    Each view starts from the last successful assignment, so only the
+    instructions below its current choice are searched again (none for a
+    view that assignment never consults).
     Passing False skips that minimization and reports the raw assignment the
     search found first (still a valid witness) -- useful in bulk sweeps where
     only the verdict matters.  No results are cached across atoms.
@@ -106,17 +114,18 @@ def check_atom_amnesic(system: EpistemicTransitionSystem, atom: Atom,
     if not holds:
         return AmnesicDecision(False, None, examined)
     if canonical_witness:
-        fixed: list[Optional[int]] = [None] * len(system.universe)
-        for v in range(len(fixed)):
-            for i in range(len(system.instructions)):
-                fixed[v] = i
-                holds, more = _search(system, roots, corridor, target, list(fixed))
+        # Invariant: `sigma` succeeds, and its views before v are final.
+        for v in range(len(sigma)):
+            if sigma[v] is None:
+                sigma[v] = 0
+                continue
+            for i in range(sigma[v]):
+                trial = sigma[:v] + [i] + [None] * (len(sigma) - v - 1)
+                holds, more = _search(system, roots, corridor, target, trial)
                 examined += more
                 if holds:
+                    sigma = trial
                     break
-            else:
-                raise AssertionError("witness vanished during minimization")
-        sigma = fixed
     choices = tuple(0 if i is None else i for i in sigma)
     return AmnesicDecision(True, AmnesicStrategy(choices), examined, note)
 
@@ -124,19 +133,43 @@ def check_atom_amnesic(system: EpistemicTransitionSystem, atom: Atom,
 def evaluate(system: EpistemicTransitionSystem, formula: Formula,
              mode: str = "amnesic") -> bool:
     """Truth of a formula: atoms under forgetful ("amnesic") or perfect
-    ("recall") memory, connectives classical."""
-    if isinstance(formula, AtomNode):
-        if mode == "amnesic":
-            return check_atom_amnesic(system, formula.atom, canonical_witness=False).holds
-        if mode == "recall":
-            return _recall.check_atom_recall(system, formula.atom).holds
+    ("recall") memory, connectives classical.
+
+    An implication's consequent is decided only when its antecedent holds.
+    The walk keeps an explicit stack of what is left to do on the way back
+    up (None negates, a formula is a consequent still to decide), so nesting
+    depth costs no recursion.
+    """
+    if mode == "amnesic":
+        decide = lambda atom: check_atom_amnesic(
+            system, atom, canonical_witness=False).holds
+    elif mode == "recall":
+        decide = lambda atom: _recall.check_atom_recall(system, atom).holds
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(formula, Not):
-        return not evaluate(system, formula.operand, mode)
-    if isinstance(formula, Implies):
-        return (not evaluate(system, formula.antecedent, mode)
-                or evaluate(system, formula.consequent, mode))
-    raise TypeError(f"not a formula: {formula!r}")
+    pending: list[Optional[Formula]] = []
+    while True:
+        while not isinstance(formula, AtomNode):
+            if isinstance(formula, Not):
+                pending.append(None)
+                formula = formula.operand
+            elif isinstance(formula, Implies):
+                pending.append(formula.consequent)
+                formula = formula.antecedent
+            else:
+                raise TypeError(f"not a formula: {formula!r}")
+        value = decide(formula.atom)
+        while pending:
+            step = pending.pop()
+            if step is None:
+                value = not value
+            elif value:
+                formula = step
+                break
+            else:
+                value = True
+        else:
+            return value
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Exit codes: 0 the question was answered; 1 the answer was negative and
 --fail-on-false was given; 2 usage, parse, or validation errors; 3 an
 internal invariant violation (a checker contradicting itself, a fuzz
 violation, or a chain that fails its own certification) or any other
-internal failure, such as running out of memory or of stack on a formula
-nested too deeply, reported as one `navlog: internal error:` line on stderr.
+internal failure, such as running out of memory on a system too large to
+explore, reported as one `navlog: internal error:` line on stderr.
 """
 
 from __future__ import annotations

@@ -190,7 +190,13 @@ def verify_recall_witness(system: EpistemicTransitionSystem, atom: Atom,
         if bel not in witness:
             problems.append(f"witness has no instruction for {bel!r}")
             continue
-        succs = _step(system, key, system.instruction_index(witness[bel]))
+        name = witness[bel]
+        try:
+            instr = system.instruction_index(name)
+        except KeyError:
+            problems.append(f"witness names unknown instruction {name!r} at {bel!r}")
+            continue
+        succs = _step(system, key, instr)
         if succs is None:
             problems.append(f"witness instruction dead-ends at {bel!r}")
             continue

@@ -119,6 +119,12 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
     return out
 
 
+def _negated(formula: Formula, times: int) -> Formula:
+    for _ in range(times):
+        formula = Not(formula)
+    return formula
+
+
 class _FormulaParser:
     def __init__(self, tokens: list[tuple[str, int, int]], universe: Universe):
         self.tokens = tokens
@@ -142,30 +148,41 @@ class _FormulaParser:
             raise ParseError(f"expected {want!r}, found {tok!r}", ln, col)
 
     def parse(self) -> Formula:
-        f = self._implies()
-        if self.at < len(self.tokens):
-            tok, ln, col = self.tokens[self.at]
-            raise ParseError(f"unexpected trailing {tok!r}", ln, col)
-        return f
+        """The whole token list as one formula, parsed without recursion.
 
-    def _implies(self) -> Formula:
-        left = self._unary()
-        if self._peek() == "->":
-            self._take()
-            return Implies(left, self._implies())
-        return left
-
-    def _unary(self) -> Formula:
-        tok = self._peek()
-        if tok == "!":
-            self._take()
-            return Not(self._unary())
-        if tok == "(":
-            self._take()
-            f = self._implies()
-            self._expect(")")
-            return f
-        return self._atom()
+        `chains` holds the operands read so far of each open implication
+        chain (the outermost first, then one per open parenthesis), and
+        `negations` the number of '!' before each open parenthesis.
+        """
+        chains: list[list[Formula]] = [[]]
+        negations: list[int] = []
+        while True:
+            bangs = 0
+            while self._peek() == "!":
+                self._take()
+                bangs += 1
+            if self._peek() == "(":
+                self._take()
+                negations.append(bangs)
+                chains.append([])
+                continue
+            f = _negated(self._atom(), bangs)
+            while True:
+                chains[-1].append(f)
+                if self._peek() == "->":
+                    self._take()
+                    break
+                chain = chains.pop()
+                f = chain.pop()
+                while chain:
+                    f = Implies(chain.pop(), f)
+                if not negations:
+                    if self.at < len(self.tokens):
+                        tok, ln, col = self.tokens[self.at]
+                        raise ParseError(f"unexpected trailing {tok!r}", ln, col)
+                    return f
+                self._expect(")")
+                f = _negated(f, negations.pop())
 
     def _atom(self) -> Formula:
         tok, ln, col = self._take()
@@ -216,23 +233,36 @@ def render_formula(formula: Formula) -> str:
     """Canonical text for a formula, with minimal parentheses.
 
     Implication renders right-associated; a left-nested implication and a
-    negated implication are the only spots that need parentheses.
+    negated implication are the only spots that need parentheses.  Compound
+    formulas are written out from an explicit stack of pieces still to emit
+    (text or subformulas), so nesting depth costs no recursion.
     """
     if isinstance(formula, AtomNode):
         a = formula.atom
-        seg = lambda names: "{" + ",".join(names) + "}"
-        return f"nav({seg(a.start)}; {seg(a.corridor)}; {seg(a.target)})"
-    if isinstance(formula, Not):
-        inner = render_formula(formula.operand)
-        if isinstance(formula.operand, Implies):
-            return f"!({inner})"
-        return f"!{inner}"
-    if isinstance(formula, Implies):
-        left = render_formula(formula.antecedent)
-        if isinstance(formula.antecedent, Implies):
-            left = f"({left})"
-        return f"{left} -> {render_formula(formula.consequent)}"
-    raise TypeError(f"not a formula: {formula!r}")
+        return (f"nav({{{','.join(a.start)}}}; {{{','.join(a.corridor)}}}; "
+                f"{{{','.join(a.target)}}})")
+    out: list[str] = []
+    todo: list[Union[str, Formula]] = [formula]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, str):
+            out.append(f)
+        elif isinstance(f, AtomNode):
+            out.append(render_formula(f))
+        elif isinstance(f, Not):
+            if isinstance(f.operand, Implies):
+                todo += [")", f.operand, "!("]
+            else:
+                todo += [f.operand, "!"]
+        elif isinstance(f, Implies):
+            todo += [f.consequent, " -> "]
+            if isinstance(f.antecedent, Implies):
+                todo += [")", f.antecedent, "("]
+            else:
+                todo.append(f.antecedent)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+    return "".join(out)
 
 
 def parse_system(text: str) -> EpistemicTransitionSystem:

@@ -7,7 +7,7 @@ feasible at these sizes (at most instructions**views candidates).
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import T0_GRID, small_random_system, two_way_chain
@@ -67,6 +67,21 @@ class TestWitnesses:
             t0, atom_over(t0, ["v1"], t0.universe.names, ["v3"]))
         assert decision.witness.as_map(t0) == {
             "v1": "1", "v2": "1", "v3": "0", "v4": "0", "v5": "1", "v6": "0"}
+
+    def test_cheaper_choice_replaces_the_solution_in_hand(self):
+        # The search meets v1 first and settles v1→0, v0→1; declaration
+        # order puts v0 first, and v0→0 still works once v1 switches to 1.
+        from navlog.core import EpistemicTransitionSystem
+        system = EpistemicTransitionSystem.build(
+            views=("v0", "v1", "goal"), instructions=("0", "1"),
+            states=[("a", "v1"), ("b", "v0"), ("c", "v0"), ("g", "goal")],
+            transitions=[("a", "0", "b"), ("a", "1", "c"),
+                         ("b", "1", "g"), ("c", "0", "g")])
+        atom = atom_over(system, ["v1"], ["v0", "v1"], ["goal"])
+        first = check_atom_amnesic(system, atom, canonical_witness=False)
+        assert first.witness.as_map(system) == {"v0": "1", "v1": "0", "goal": "0"}
+        least = check_atom_amnesic(system, atom)
+        assert least.witness.as_map(system) == {"v0": "0", "v1": "1", "goal": "0"}
 
     def test_witness_replays(self, t0):
         names = t0.universe.names
@@ -143,6 +158,21 @@ class TestEvaluate:
             f = Implies(Not(a), b) if rng.random() < 0.5 else Not(Implies(a, b))
             assert evaluate(t0, f) == reference(f)
 
+    def test_deep_formulas_need_no_recursion(self, t0):
+        u = t0.universe
+        good = parse_formula("nav({v1}; ALL; {v3})", u)
+        bad = parse_formula("nav({v3}; ALL; {v1})", u)
+        # !(good -> f) has the opposite truth value of f.
+        f = bad
+        for _ in range(5000):
+            f = Not(Implies(good, f))
+        assert evaluate(t0, f) is False
+        assert evaluate(t0, Not(Implies(good, f)), "recall") is True
+
+    def test_false_antecedent_skips_the_consequent(self, t0):
+        bad = parse_formula("nav({v3}; ALL; {v1})", t0.universe)
+        assert evaluate(t0, Implies(bad, "not a formula"))
+
     def test_recall_mode_matches_recall_checker(self, t0, t1):
         for system in (t0, t1):
             names = system.universe.names
@@ -192,3 +222,25 @@ def test_canonical_witness_agrees_on_verdict(seed):
         first = find_witness_by_enumeration(system, atom)
         expected = AmnesicStrategy.from_map(system, first).choices
         assert least.witness.choices == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+@example(seed=15172)
+@example(seed=38178)
+@example(seed=48227)
+def test_lex_least_witness_matches_enumeration(seed):
+    """Minimisation that keeps the last solution reports the first strategy
+    in declaration order.  Few draws have a first solution that is not
+    already least; the pinned seeds are such draws, where a trial below the
+    current choice succeeds and replaces the solution in hand."""
+    rng = random.Random(seed)
+    system = small_random_system(rng, max_views=4, max_instructions=3)
+    side = 1 << len(system.universe)
+    atom = Atom.from_masks(system.universe, rng.randrange(side),
+                           rng.randrange(side), rng.randrange(side))
+    decision = check_atom_amnesic(system, atom)
+    first = find_witness_by_enumeration(system, atom)
+    assert decision.holds == (first is not None)
+    if first is not None:
+        assert decision.witness.as_map(system) == first

@@ -57,6 +57,15 @@ class TestCheck:
         assert code == 0
         assert "witness: v1→1 v2→1 v3→0 v4→0 v5→1 v6→0" in out
 
+    def test_chain_witness_is_its_closed_form(self, capsys, tmp_path):
+        path = tmp_path / "chain.ets"
+        path.write_text(render_system(two_way_chain(300)))
+        code, out, _ = run(capsys, "check", str(path),
+                           "nav({v0}; ALL; {v299})", "--witness")
+        assert code == 0
+        want = " ".join(f"v{k}→1" for k in range(299)) + " v299→0"
+        assert out.splitlines()[1] == "witness: " + want
+
     def test_json_report(self, capsys, t0_path):
         code, report = run_json(capsys, "check", t0_path,
                                 "nav({v1}; ALL; {v3})", "--json")
@@ -120,14 +129,25 @@ class TestEval:
                                 "nav({v0}; ALL; {v1499})", "--json")
         assert code == 0 and report["holds"] is True
 
-    def test_internal_failure_exits_3(self, capsys, t0_path):
-        # The formula parser recurses once per operator, so this nesting
-        # exceeds Python's recursion limit.
-        code, out, err = run(capsys, "eval", t0_path,
-                             "!" * 5000 + "nav({v1}; ALL; {v6})")
+    @pytest.mark.parametrize("formula, verdict", [
+        ("!" * 5000 + "nav({v1}; ALL; {v6})", "true"),
+        ("(" * 5000 + "nav({v1}; ALL; {v6})" + ")" * 5000, "true"),
+        (" -> ".join(["nav({v1}; ALL; {v6})"] * 4999 + ["nav({v3}; ALL; {v1})"]),
+         "false"),
+    ], ids=["negations", "parentheses", "implications"])
+    def test_deeply_nested_formula_answers(self, capsys, t0_path, formula,
+                                           verdict):
+        code, out, err = run(capsys, "eval", t0_path, formula)
+        assert code == 0 and err == ""
+        assert out.endswith(f": {verdict} [amnesic]\n")
+
+    def test_internal_failure_exits_3(self, capsys, t0_path, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("out of memory")
+        monkeypatch.setattr("navlog.cli.evaluate", exhausted)
+        code, out, err = run(capsys, "eval", t0_path, "nav({v1}; ALL; {v6})")
         assert code == 3 and out == ""
-        assert err.startswith("navlog: internal error: RecursionError: ")
-        assert len(err.splitlines()) == 1
+        assert err == "navlog: internal error: MemoryError: out of memory\n"
 
 
 class TestTable:

@@ -132,6 +132,20 @@ class TestWitnessChecking:
         witness.pop(next(iter(witness)))
         assert verify_recall_witness(t1, atom, witness) != []
 
+    def test_unknown_instruction_is_a_reported_defect(self, t1):
+        at_b, at_f = Belief("vb", frozenset({"b"})), Belief("vf", frozenset({"f"}))
+        atom = atom_over(t1, ["vb"], t1.universe.names, ["vd"])
+        assert verify_recall_witness(t1, atom, {at_b: "7"}) == [
+            "witness names unknown instruction '7' at Belief(vb, {b})"]
+        # The other start belief's branch is still walked.
+        joint = atom_over(t1, ["vb", "vf"], t1.universe.names, ["vd"])
+        witness = dict(check_atom_recall(t1, joint).witness)
+        witness[at_b] = "7"
+        del witness[at_f]
+        assert verify_recall_witness(t1, joint, witness) == [
+            "witness names unknown instruction '7' at Belief(vb, {b})",
+            "witness has no instruction for Belief(vf, {f})"]
+
     def test_cyclic_witness_is_rejected(self):
         system = EpistemicTransitionSystem.build(
             views=("a", "b", "c"), instructions=("x", "y"),

@@ -80,6 +80,38 @@ class TestFormulaRendering:
         assert render_formula(Not(Not(a))).startswith("!!")
 
 
+_A, _N = "nav({a}; {}; {a})", 5000
+DEEP_TEXTS = {
+    "negations": "!" * _N + _A,
+    "implications": " -> ".join([_A] * _N),
+    "left_nested": "(" * (_N - 1) + _A + (" -> " + _A + ")") * (_N - 1) + " -> " + _A,
+    "negated_implications": ("!(" + _A + " -> ") * _N + _A + ")" * _N,
+}
+
+
+class TestDeepFormulas:
+    """Nesting depth costs the parser and the renderer no recursion.  The
+    texts are canonical, so parsing and rendering gives each one back (read
+    as text: comparing such formulas with == would itself recurse)."""
+
+    @pytest.mark.parametrize("shape", sorted(DEEP_TEXTS))
+    def test_canonical_text_round_trips(self, shape):
+        text = DEEP_TEXTS[shape]
+        assert render_formula(parse_formula(text, U)) == text
+
+    def test_parentheses_leave_no_node(self):
+        f = parse_formula("(" * _N + _A + ")" * _N, U)
+        assert f == AtomNode(Atom(("a",), (), ("a",)))
+
+    def test_left_nesting_depth(self):
+        f = parse_formula(DEEP_TEXTS["left_nested"], U)
+        depth = 0
+        while isinstance(f, Implies):
+            assert isinstance(f.consequent, AtomNode)
+            f, depth = f.antecedent, depth + 1
+        assert depth == _N and isinstance(f, AtomNode)
+
+
 def formulas(universe: Universe, depth: int = 6):
     names = st.sets(st.sampled_from(universe.names))
     atoms = st.builds(
