@@ -7,10 +7,14 @@ exploration actually consults: a partial assignment that already exhibits a
 counterexample among consulted views rules out all of its completions, and a
 partial assignment under which every run succeeds settles the atom because
 unconsulted views are never reached (the agreement property of strategies,
-restricted to consulted views).  Each pass over the runs is the depth-first
+restricted to consulted views).  One search is one walk of the depth-first
 explorer `core._explore`, the same one `core.check_strategy` runs under a
-total strategy.  Verdicts are deterministic: start states, successors and
-candidate instructions are always scanned in declaration order.
+total strategy.  The walk pauses at each view it meets unassigned and
+resumes there once the view has an instruction; on backtrack it resumes
+from the position saved with the choice it revisits, so no work before that
+position is repeated and a chain of views is decided in linear time.
+Verdicts are deterministic: start states, successors and candidate
+instructions are always scanned in declaration order.
 
 The witness reported is the lexicographically least one.  Minimisation fixes
 views in declaration order and keeps the last successful assignment: a view
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (_UNSEEN, AmnesicStrategy, EpistemicTransitionSystem,
-                   _explore)
+                   _explore, _move_path)
 from .syntax import Atom, AtomNode, Formula, Implies, Not
 from . import recall as _recall
 
@@ -54,41 +58,50 @@ def _search(system: EpistemicTransitionSystem, roots: list[int], corridor: int,
             target: int, sigma: list[Optional[int]]) -> tuple[bool, int]:
     """Complete the partial strategy `sigma` in place, if it can be done.
 
-    Backtracking over an explicit stack of [view, instruction, trail mark]
-    frames: each pass of the explorer either settles the current assignment
-    or names the next view to assign, tried with instructions in declaration
-    order.  Safe marks (states whose every run already verified) survive
-    from pass to pass on a trail and are rolled back when the assignment
-    they depended on is undone.  Returns whether an extension succeeds
-    (left in `sigma`; otherwise `sigma` is restored) and the number of
-    passes that reached a definite verdict.
+    One resumable walk of the explorer, backtracking over an explicit stack
+    of [view, instruction, trail mark, top, i] frames.  When the walk meets
+    a view with no instruction, a frame records the view with the position
+    (top, i) where the walk stopped, the view is tried with instructions in
+    declaration order, and the walk resumes there.  A counterexample undoes
+    the newest choice that has an instruction left: the trail of safe marks
+    (states whose every run verified) rolls back to that frame's mark, the
+    path marks move from the current path to the frame's, and the walk
+    resumes from the frame's position, never from the roots.  A frame holds
+    only the path's last node, and saved paths share their prefixes, so a
+    frame costs O(1).  Returns whether an extension succeeds (left in
+    `sigma`; otherwise `sigma` is restored) and the number of partial
+    assignments that reached a definite verdict.
     """
     n_instructions = len(system.instructions)
     status = [_UNSEEN] * len(system.states)
     trail: list[int] = []
-    frames: list[list[int]] = []
+    frames: list[list] = []
     examined = 0
-    while True:
-        found = _explore(system, sigma, corridor, target, roots, status, trail)
-        if found is None:
-            return True, examined + 1
+    found, top, i = _explore(system, sigma, corridor, target, roots, status, trail)
+    while found is not None:
         if isinstance(found, int):
-            frames.append([found, 0, len(trail)])
+            frames.append([found, 0, len(trail), top, i])
             sigma[found] = 0
-            continue
-        examined += 1
-        while frames:
-            frame = frames[-1]
-            view, instruction, mark = frame
-            while len(trail) > mark:
-                status[trail.pop()] = _UNSEEN
-            if instruction + 1 < n_instructions:
-                frame[1] = sigma[view] = instruction + 1
-                break
-            sigma[view] = None
-            frames.pop()
         else:
-            return False, examined
+            examined += 1
+            while frames:
+                frame = frames[-1]
+                view, instruction, mark, saved, j = frame
+                for state in trail[mark:]:
+                    status[state] = _UNSEEN
+                del trail[mark:]
+                if instruction + 1 < n_instructions:
+                    frame[1] = sigma[view] = instruction + 1
+                    break
+                sigma[view] = None
+                frames.pop()
+            else:
+                return False, examined
+            _move_path(status, top, saved)
+            top, i = saved, j
+        found, top, i = _explore(system, sigma, corridor, target, roots,
+                                 status, trail, top, i)
+    return True, examined + 1
 
 
 def check_atom_amnesic(system: EpistemicTransitionSystem, atom: Atom,
@@ -136,9 +149,10 @@ def evaluate(system: EpistemicTransitionSystem, formula: Formula,
     ("recall") memory, connectives classical.
 
     An implication's consequent is decided only when its antecedent holds.
-    The walk keeps an explicit stack of what is left to do on the way back
-    up (None negates, a formula is a consequent still to decide), so nesting
-    depth costs no recursion.
+    Each distinct atom is decided once per call, by the engine itself (no
+    proof rule stands in for a decision).  The walk keeps an explicit stack
+    of what is left to do on the way back up (None negates, a formula is a
+    consequent still to decide), so nesting depth costs no recursion.
     """
     if mode == "amnesic":
         decide = lambda atom: check_atom_amnesic(
@@ -147,6 +161,7 @@ def evaluate(system: EpistemicTransitionSystem, formula: Formula,
         decide = lambda atom: _recall.check_atom_recall(system, atom).holds
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    decided: dict[Atom, bool] = {}
     pending: list[Optional[Formula]] = []
     while True:
         while not isinstance(formula, AtomNode):
@@ -158,7 +173,9 @@ def evaluate(system: EpistemicTransitionSystem, formula: Formula,
                 formula = formula.antecedent
             else:
                 raise TypeError(f"not a formula: {formula!r}")
-        value = decide(formula.atom)
+        value = decided.get(formula.atom)
+        if value is None:
+            value = decided[formula.atom] = decide(formula.atom)
         while pending:
             step = pending.pop()
             if step is None:

@@ -351,56 +351,83 @@ class PathWitness:
 
 
 def _explore(system: EpistemicTransitionSystem, sigma: Sequence[Optional[int]],
-             corridor: int, target: int, roots: Iterable[int],
-             status: list[int], trail: list[int]
-             ) -> "None | int | tuple[str, list[int], Optional[int]]":
-    """One depth-first pass over the runs from `roots` under a partial strategy.
+             corridor: int, target: int, roots: Sequence[int],
+             status: list[int], trail: list[int],
+             top: Optional[tuple] = None, i: int = 0
+             ) -> "tuple[None | int | str, Optional[tuple], int]":
+    """Depth-first walk over the runs from `roots` under a partial strategy,
+    resumable where it stopped.
 
-    `sigma[v]` is the instruction index chosen for view v, or None.  States
-    and successors are scanned in declaration order, so the result is
-    deterministic.  `status` holds one mark per state and persists across
-    passes: a state whose every run verified is marked _SAFE and pushed on
-    `trail`, so a later pass under an extension of `sigma` skips it (a caller
-    that retracts a choice resets the marks trailed since).  Returns None
-    when every run verifies, the index of the first consulted view that has
-    no instruction, or a counterexample (reason, path, loop_start) where
-    path lists state indices.  Both early returns reset the current path's
-    marks to _UNSEEN.
+    `sigma[v]` is the instruction index chosen for view v, or None.  The
+    path is a chain of immutable nodes (state, index in the parent's
+    successor list, parent, depth), the roots' parent being None, so saved
+    paths share their prefixes.  The walk reads the `i`-th successor of node
+    `top` next, or the `i`-th root when `top` is None.  A node's successors
+    are `succ[state][sigma[view]]`: the views on a saved path keep their
+    instructions until it is resumed.  States and successors are scanned in
+    declaration order, so the result is deterministic.  `status` holds one
+    mark per state: the states on the path are _ON_PATH, and a state whose
+    every run verified is _SAFE and pushed on `trail`, so a walk under an
+    extension of `sigma` skips it (a caller that retracts a choice resets
+    the marks trailed since).
+
+    Returns (found, top, i), where the walk stopped at the `i`-th successor
+    of `top`.  `found` is None when every run verifies; the index of that
+    successor's view when the view has no instruction, in which case the
+    walk has not stepped past it and resumes there once it has one; or the
+    reason of a counterexample ending at that successor (for
+    `never_reaches`, the path up to `top` closes a lasso on it).  The path's
+    marks stay in place on return.
     """
     view_bit, view_of, succ = system.view_bit, system.view_of, system.succ
-    path: list[int] = []
-    iters = [iter(roots)]
-    while iters:
-        u = next(iters[-1], -1)
-        if u < 0:
-            iters.pop()
-            if path:
-                done = path.pop()
-                status[done] = _SAFE
-                trail.append(done)
+    children = roots if top is None else succ[top[0]][sigma[view_of[top[0]]]]
+    n = len(children)
+    while True:
+        if i == n:
+            if top is None:
+                return None, None, 0
+            done, i, top, _ = top
+            status[done] = _SAFE
+            trail.append(done)
+            i += 1
+            children = roots if top is None else succ[top[0]][sigma[view_of[top[0]]]]
+            n = len(children)
             continue
+        u = children[i]
         m = view_bit[u]
         if m & target or status[u] == _SAFE:
-            continue
-        if not m & corridor:
-            found = (LEFT_CORRIDOR, path + [u], None)
+            i += 1
+        elif not m & corridor:
+            return LEFT_CORRIDOR, top, i
         elif status[u] == _ON_PATH:
-            found = (NEVER_REACHES, path, path.index(u))
+            return NEVER_REACHES, top, i
         else:
             instruction = sigma[view_of[u]]
             if instruction is None:
-                found = view_of[u]
-            elif succ[u][instruction]:
-                status[u] = _ON_PATH
-                path.append(u)
-                iters.append(iter(succ[u][instruction]))
-                continue
-            else:
-                found = (DEAD_END, path + [u], None)
-        for k in path:
-            status[k] = _UNSEEN
-        return found
-    return None
+                return view_of[u], top, i
+            if not succ[u][instruction]:
+                return DEAD_END, top, i
+            status[u] = _ON_PATH
+            top = (u, i, top, 0 if top is None else top[3] + 1)
+            children, i = succ[u][instruction], 0
+            n = len(children)
+
+
+def _move_path(status: list[int], old: Optional[tuple],
+               new: Optional[tuple]) -> None:
+    """Move `_explore`'s _ON_PATH marks from the path ending at node `old`
+    to the one ending at `new`; only the two suffixes below their common
+    ancestor change."""
+    gained = []
+    while old is not new:
+        if new is None or (old is not None and old[3] >= new[3]):
+            status[old[0]] = _UNSEEN
+            old = old[2]
+        else:
+            gained.append(new[0])
+            new = new[2]
+    for state in gained:
+        status[state] = _ON_PATH
 
 
 def check_strategy(
@@ -417,12 +444,24 @@ def check_strategy(
     returned for a failing strategy is deterministic.  States observing a
     target view are success leaves: the run is not extended past them.
     """
-    roots = (k for k, m in enumerate(system.view_bit) if m & objective.start)
-    found = _explore(system, strategy.choices, objective.corridor,
-                     objective.target, roots, [_UNSEEN] * len(system.states), [])
-    if found is None:
+    choices, view_of = strategy.choices, system.view_of
+    roots = [k for k, m in enumerate(system.view_bit) if m & objective.start]
+    reason, top, i = _explore(system, choices, objective.corridor,
+                              objective.target, roots,
+                              [_UNSEEN] * len(system.states), [])
+    if reason is None:
         return None
-    reason, path, loop_start = found
+    u = roots[i] if top is None else system.succ[top[0]][choices[view_of[top[0]]]][i]
+    path: list[int] = []
+    loop_start = None
+    while top is not None:
+        state, _, top, depth = top
+        path.append(state)
+        if state == u:
+            loop_start = depth
+    path.reverse()
+    if reason != NEVER_REACHES:
+        path.append(u)
     return PathWitness(tuple(system.states[k] for k in path), reason, loop_start)
 
 

@@ -17,7 +17,7 @@ declarations preceding use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Union
 
 from .core import EpistemicTransitionSystem, RawSystem, Universe, validate_system
@@ -77,15 +77,59 @@ class AtomNode:
     atom: Atom
 
 
-@dataclass(frozen=True)
-class Not:
+class _Compound:
+    """Equality, hashing and repr for the connectives, at any nesting depth.
+
+    The hash is worked out once, from the children's, when a node is built;
+    equality compares over an explicit stack; repr is the canonical text.
+    A pickle holds only the children, so a load in another process, under
+    another hash seed, works the hash out again.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            x, y = todo.pop()
+            if x is y:
+                continue
+            if x.__class__ is not y.__class__ or hash(x) != hash(y):
+                return False
+            if isinstance(x, Not):
+                todo.append((x.operand, y.operand))
+            elif isinstance(x, Implies):
+                todo += [(x.consequent, y.consequent), (x.antecedent, y.antecedent)]
+            elif x != y:
+                return False
+        return True
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return render_formula(self)
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Compound):
     operand: "Formula"
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((Not, self.operand)))
 
-@dataclass(frozen=True)
-class Implies:
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Implies(_Compound):
     antecedent: "Formula"
     consequent: "Formula"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash",
+                           hash((Implies, self.antecedent, self.consequent)))
 
 
 Formula = Union[AtomNode, Not, Implies]

@@ -6,13 +6,16 @@ feasible at these sizes (at most instructions**views candidates).
 """
 
 import random
+import tracemalloc
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import T0_GRID, small_random_system, two_way_chain
 from _oracles import find_witness_by_enumeration, holds_by_enumeration
 
+from navlog import amnesic, recall
 from navlog.amnesic import (check_atom_amnesic, evaluate, navigability_table)
 from navlog.core import AmnesicStrategy, UntilObjective, check_strategy
 from navlog.recall import check_atom_recall
@@ -21,6 +24,28 @@ from navlog.syntax import Atom, AtomNode, Implies, Not, parse_formula
 
 def atom_over(system, start, corridor, target) -> Atom:
     return Atom.over(system.universe, start, corridor, target)
+
+
+# strategies_examined for nav({row}; ALL; {col}) on T0, with and without the
+# lex-least witness: the search order is part of the output.
+T0_EXAMINED = {
+    True: {
+        "v1": [1, 6, 9, 6, 6, 1],
+        "v2": [1, 1, 6, 8, 6, 1],
+        "v3": [5, 4, 1, 8, 6, 6],
+        "v4": [2, 2, 2, 1, 2, 2],
+        "v5": [1, 6, 6, 6, 1, 1],
+        "v6": [1, 10, 7, 7, 4, 1],
+    },
+    False: {
+        "v1": [1, 6, 5, 6, 6, 1],
+        "v2": [1, 1, 4, 5, 6, 1],
+        "v3": [5, 4, 1, 8, 6, 6],
+        "v4": [2, 2, 2, 1, 2, 2],
+        "v5": [1, 6, 4, 4, 1, 1],
+        "v6": [1, 7, 3, 3, 2, 1],
+    },
+}
 
 
 class TestT0Grid:
@@ -40,6 +65,16 @@ class TestT0Grid:
                 amnesic = check_atom_amnesic(t0, atom).holds
                 cell = table.grid[i][j]
                 assert (cell == "a") == amnesic
+
+    @pytest.mark.parametrize("canonical_witness", [True, False])
+    def test_strategies_examined_per_cell(self, t0, canonical_witness):
+        names = t0.universe.names
+        for row in names:
+            examined = [check_atom_amnesic(
+                t0, atom_over(t0, [row], names, [col]),
+                canonical_witness=canonical_witness).strategies_examined
+                for col in names]
+            assert examined == T0_EXAMINED[canonical_witness][row], f"row {row}"
 
     def test_amnesic_only_mode(self, t0):
         table = navigability_table(t0, ["v1", "v3"], modes=("amnesic",))
@@ -112,12 +147,40 @@ class TestWitnesses:
     def test_deep_chain_has_no_recursion_limit(self):
         # Each view of the chain is assigned in turn, so the backtracking
         # stack is as deep as the chain is long.
-        chain = two_way_chain(1500)
-        atom = atom_over(chain, ["v0"], chain.universe.names, ["v1499"])
+        chain = two_way_chain(3000)
+        atom = atom_over(chain, ["v0"], chain.universe.names, ["v2999"])
         decision = check_atom_amnesic(chain, atom, canonical_witness=False)
         assert decision.holds
         objective = UntilObjective(*atom.masks(chain.universe))
         assert check_strategy(chain, decision.witness, objective) is None
+
+    @pytest.mark.parametrize("n", [2, 7, 40])
+    def test_chain_search_order(self, n):
+        # The verdict meets one counterexample per view before the target
+        # (instruction 0 steps off the end or back onto the path), then
+        # succeeds; minimisation tries 0 once on each of those views, which
+        # fails at once, so it adds n - 1.
+        chain = two_way_chain(n)
+        atom = atom_over(chain, ["v0"], chain.universe.names, [f"v{n - 1}"])
+        verdict = check_atom_amnesic(chain, atom, canonical_witness=False)
+        assert verdict.strategies_examined == n
+        least = check_atom_amnesic(chain, atom)
+        assert least.strategies_examined == 2 * n - 1
+        assert least.witness.choices == (1,) * (n - 1) + (0,)
+
+    def test_chain_verdict_keeps_no_copy_of_the_path_per_view(self):
+        # A frame saves only the path's last node, and saved paths share
+        # their prefixes, so 3,000 frames fit well under a megabyte.
+        chain = two_way_chain(3000)
+        atom = atom_over(chain, ["v0"], chain.universe.names, ["v2999"])
+        tracemalloc.start()
+        try:
+            decision = check_atom_amnesic(chain, atom, canonical_witness=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decision.holds and decision.strategies_examined == 3000
+        assert peak < 1 << 20
 
     def test_stats_populated(self, t0):
         decision = check_atom_amnesic(
@@ -168,6 +231,27 @@ class TestEvaluate:
             f = Not(Implies(good, f))
         assert evaluate(t0, f) is False
         assert evaluate(t0, Not(Implies(good, f)), "recall") is True
+
+    @pytest.mark.parametrize("mode, module, engine", [
+        ("amnesic", amnesic, "check_atom_amnesic"),
+        ("recall", recall, "check_atom_recall"),
+    ], ids=["amnesic", "recall"])
+    def test_each_distinct_atom_is_decided_once(self, t0, monkeypatch, mode,
+                                                module, engine):
+        real = getattr(module, engine)
+        calls = []
+
+        def counting(system, atom, *args, **kwargs):
+            calls.append(atom)
+            return real(system, atom, *args, **kwargs)
+
+        monkeypatch.setattr(module, engine, counting)
+        claim = parse_formula("nav({v1}; ALL; {v3})", t0.universe)
+        f = claim
+        for _ in range(4999):
+            f = Implies(claim, f)
+        assert evaluate(t0, f, mode) is True
+        assert calls == [claim.atom]
 
     def test_false_antecedent_skips_the_consequent(self, t0):
         bad = parse_formula("nav({v3}; ALL; {v1})", t0.universe)

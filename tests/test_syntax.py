@@ -1,9 +1,16 @@
 """Formula and .ets text formats: parsing, rendering, round trips."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import navlog
 from navlog.core import SystemValidationError, Universe
 from navlog.fixtures import T0_ETS
 from navlog.syntax import (Atom, AtomNode, Implies, Not, ParseError, as_atom,
@@ -90,14 +97,26 @@ DEEP_TEXTS = {
 
 
 class TestDeepFormulas:
-    """Nesting depth costs the parser and the renderer no recursion.  The
-    texts are canonical, so parsing and rendering gives each one back (read
-    as text: comparing such formulas with == would itself recurse)."""
+    """Nesting depth costs the parser, the renderer and the formula nodes'
+    equality, hash and repr no recursion.  The texts are canonical, so
+    parsing and rendering gives each one back."""
 
     @pytest.mark.parametrize("shape", sorted(DEEP_TEXTS))
     def test_canonical_text_round_trips(self, shape):
         text = DEEP_TEXTS[shape]
         assert render_formula(parse_formula(text, U)) == text
+
+    @pytest.mark.parametrize("shape", ["negations", "implications"])
+    def test_compare_hash_and_print(self, shape):
+        text = DEEP_TEXTS[shape]
+        f, g = parse_formula(text, U), parse_formula(text, U)
+        assert f is not g
+        assert f == g and hash(f) == hash(g)
+        assert len({f, g}) == 1
+        assert repr(f) == text
+        other = parse_formula(text.replace(_A, "nav({b}; {}; {b})", 1), U)
+        assert f != other and f not in {other}
+        assert f != text
 
     def test_parentheses_leave_no_node(self):
         f = parse_formula("(" * _N + _A + ")" * _N, U)
@@ -110,6 +129,23 @@ class TestDeepFormulas:
             assert isinstance(f.consequent, AtomNode)
             f, depth = f.antecedent, depth + 1
         assert depth == _N and isinstance(f, AtomNode)
+
+
+def test_pickled_formula_hashes_under_the_loading_seed():
+    text = "!(nav({a}; {}; {a}) -> nav({b}; {}; {b}))"
+    src = str(Path(navlog.__file__).resolve().parents[1])
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import pickle, sys\n"
+            "from navlog.core import Universe\n"
+            "from navlog.syntax import parse_formula\n"
+            f"f = parse_formula({text!r}, Universe(('a', 'b', 'c')))\n"
+            "sys.stdout.buffer.write(pickle.dumps(f))\n")
+    dumped = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, timeout=120, check=True).stdout
+    f, g = pickle.loads(dumped), parse_formula(text, U)
+    assert f == g and hash(f) == hash(g) and f in {g}
 
 
 def formulas(universe: Universe, depth: int = 6):
