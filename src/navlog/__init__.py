@@ -10,7 +10,7 @@ whole stack on random systems.  The `navlog` console script exposes all of it.
 """
 
 from .amnesic import (AmnesicDecision, NavigabilityTable, check_atom_amnesic,
-                      evaluate, navigability_table)
+                      decide_amnesic, evaluate, navigability_table)
 from .canonical import (CanonicalInstruction, GChain, GStage,
                         TruthLemmaMismatch, TruthLemmaReport, build_canonical,
                         canonical_instructions, gstar_chain, valid_views,
@@ -26,9 +26,9 @@ from .proof import (ASSUMPTION, AUGMENTATION, EMPTY_TARGET, REFLEXIVITY,
                     TRANSITIVITY, TRIM_CORRIDOR, ZERO_STEP, Closure,
                     DerivationTree, LemmaSweepReport, LemmaViolation,
                     UniverseTooLarge, check_derived_lemmas, derives, explain,
-                    is_closed, saturate, verify_provenance)
+                    is_closed, rule_steps, saturate, verify_provenance)
 from .recall import (Belief, RecallDecision, check_atom_recall,
-                     verify_recall_witness)
+                     decide_recall, verify_recall_witness)
 from .syntax import (Atom, AtomNode, Formula, Implies, Not, ParseError,
                      as_atom, parse_formula, parse_system, render_formula,
                      render_system)
@@ -46,15 +46,16 @@ __all__ = [
     "Atom", "AtomNode", "Not", "Implies", "Formula", "ParseError", "as_atom",
     "parse_formula", "render_formula", "parse_system", "render_system",
     # amnesic
-    "AmnesicDecision", "check_atom_amnesic", "evaluate",
+    "AmnesicDecision", "decide_amnesic", "check_atom_amnesic", "evaluate",
     "NavigabilityTable", "navigability_table",
     # recall
-    "Belief", "RecallDecision", "check_atom_recall", "verify_recall_witness",
+    "Belief", "RecallDecision", "decide_recall", "check_atom_recall",
+    "verify_recall_witness",
     # proof
     "ASSUMPTION", "REFLEXIVITY", "AUGMENTATION", "TRANSITIVITY",
     "TRIM_CORRIDOR", "ZERO_STEP", "EMPTY_TARGET", "Closure",
     "DerivationTree", "UniverseTooLarge", "saturate", "is_closed", "derives",
-    "explain",
+    "explain", "rule_steps",
     "LemmaViolation", "LemmaSweepReport", "check_derived_lemmas",
     "verify_provenance",
     # canonical

@@ -1,14 +1,14 @@
 """Forgetful-agent navigability: existence of a per-view instruction choice.
 
-`check_atom_amnesic` decides whether SOME strategy (one instruction per view,
-no memory) drives every maximal run from the start views through the corridor
+`decide_amnesic` decides whether SOME strategy (one instruction per view, no
+memory) drives every maximal run from the start views through the corridor
 into the target.  The search assigns instructions lazily, only to views the
 exploration actually consults: a partial assignment that already exhibits a
 counterexample among consulted views rules out all of its completions, and a
 partial assignment under which every run succeeds settles the atom because
 unconsulted views are never reached (the agreement property of strategies,
 restricted to consulted views).  One search is one walk of the depth-first
-explorer `core._explore`, the same one `core.check_strategy` runs under a
+explorer `core.explore`, the same one `core.check_strategy` runs under a
 total strategy.  The walk pauses at each view it meets unassigned and
 resumes there once the view has an instruction; on backtrack it resumes
 from the position saved with the choice it revisits, so no work before that
@@ -27,13 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import (_UNSEEN, AmnesicStrategy, EpistemicTransitionSystem,
-                   _explore, _move_path)
+from .core import (UNSEEN, AmnesicStrategy, EpistemicTransitionSystem,
+                   UntilObjective, explore, move_path)
 from .syntax import Atom, AtomNode, Formula, Implies, Not
 from . import recall as _recall
 
 __all__ = [
-    "AmnesicDecision", "check_atom_amnesic", "evaluate",
+    "AmnesicDecision", "decide_amnesic", "check_atom_amnesic", "evaluate",
     "NavigabilityTable", "navigability_table",
 ]
 
@@ -73,11 +73,11 @@ def _search(system: EpistemicTransitionSystem, roots: list[int], corridor: int,
     assignments that reached a definite verdict.
     """
     n_instructions = len(system.instructions)
-    status = [_UNSEEN] * len(system.states)
+    status = [UNSEEN] * len(system.states)
     trail: list[int] = []
     frames: list[list] = []
     examined = 0
-    found, top, i = _explore(system, sigma, corridor, target, roots, status, trail)
+    found, top, i = explore(system, sigma, corridor, target, roots, status, trail)
     while found is not None:
         if isinstance(found, int):
             frames.append([found, 0, len(trail), top, i])
@@ -88,7 +88,7 @@ def _search(system: EpistemicTransitionSystem, roots: list[int], corridor: int,
                 frame = frames[-1]
                 view, instruction, mark, saved, j = frame
                 for state in trail[mark:]:
-                    status[state] = _UNSEEN
+                    status[state] = UNSEEN
                 del trail[mark:]
                 if instruction + 1 < n_instructions:
                     frame[1] = sigma[view] = instruction + 1
@@ -97,16 +97,16 @@ def _search(system: EpistemicTransitionSystem, roots: list[int], corridor: int,
                 frames.pop()
             else:
                 return False, examined
-            _move_path(status, top, saved)
+            move_path(status, top, saved)
             top, i = saved, j
-        found, top, i = _explore(system, sigma, corridor, target, roots,
-                                 status, trail, top, i)
+        found, top, i = explore(system, sigma, corridor, target, roots,
+                                status, trail, top, i)
     return True, examined + 1
 
 
-def check_atom_amnesic(system: EpistemicTransitionSystem, atom: Atom,
-                       canonical_witness: bool = True) -> AmnesicDecision:
-    """Decide one atom for a forgetful agent.
+def decide_amnesic(system: EpistemicTransitionSystem, objective: UntilObjective,
+                   canonical_witness: bool = True) -> AmnesicDecision:
+    """Decide one (start, corridor, target) mask triple for a forgetful agent.
 
     With `canonical_witness` (the default) a positive verdict reports the
     lexicographically least successful strategy under view declaration order,
@@ -119,8 +119,8 @@ def check_atom_amnesic(system: EpistemicTransitionSystem, atom: Atom,
     search found first (still a valid witness) -- useful in bulk sweeps where
     only the verdict matters.  No results are cached across atoms.
     """
-    start, corridor, target = atom.masks(system.universe)
-    roots = [k for k, m in enumerate(system.view_bit) if m & start]
+    corridor, target = objective.corridor, objective.target
+    roots = [k for k, m in enumerate(system.view_bit) if m & objective.start]
     note = None if roots else "no state observes a start view; holds vacuously"
     sigma: list[Optional[int]] = [None] * len(system.universe)
     holds, examined = _search(system, roots, corridor, target, sigma)
@@ -141,6 +141,13 @@ def check_atom_amnesic(system: EpistemicTransitionSystem, atom: Atom,
                     break
     choices = tuple(0 if i is None else i for i in sigma)
     return AmnesicDecision(True, AmnesicStrategy(choices), examined, note)
+
+
+def check_atom_amnesic(system: EpistemicTransitionSystem, atom: Atom,
+                       canonical_witness: bool = True) -> AmnesicDecision:
+    """Decide one atom for a forgetful agent; see `decide_amnesic`."""
+    return decide_amnesic(system, UntilObjective(*atom.masks(system.universe)),
+                          canonical_witness)
 
 
 def evaluate(system: EpistemicTransitionSystem, formula: Formula,
@@ -220,11 +227,12 @@ def navigability_table(system: EpistemicTransitionSystem, classes: Sequence[str]
     for row in classes:
         cells = []
         for col in classes:
-            atom = Atom.over(universe, [row], universe.names, [col])
-            if "amnesic" in modes and check_atom_amnesic(
-                    system, atom, canonical_witness=False).holds:
+            objective = UntilObjective(universe.mask([row]), universe.full,
+                                       universe.mask([col]))
+            if "amnesic" in modes and decide_amnesic(
+                    system, objective, canonical_witness=False).holds:
                 cells.append("a")
-            elif "recall" in modes and _recall.check_atom_recall(system, atom).holds:
+            elif "recall" in modes and _recall.decide_recall(system, objective).holds:
                 cells.append("r")
             else:
                 cells.append("-")

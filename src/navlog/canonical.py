@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from .amnesic import check_atom_amnesic
-from .core import EpistemicTransitionSystem
+from .amnesic import decide_amnesic
+from .core import EpistemicTransitionSystem, UntilObjective
 from .proof import Closure, Key, is_closed
 from .syntax import Atom
 
@@ -184,10 +184,11 @@ def verify_truth_lemma(closure: Closure, exhaustive: Optional[bool] = None,
     mismatches = []
     for key in keys:
         derivable = key in closure.derived
-        atom = Atom.from_masks(universe, *key)
-        holds = check_atom_amnesic(system, atom, canonical_witness=False).holds
+        holds = decide_amnesic(system, UntilObjective(*key),
+                               canonical_witness=False).holds
         if derivable != holds:
-            mismatches.append(TruthLemmaMismatch(atom, derivable, holds))
+            mismatches.append(TruthLemmaMismatch(
+                Atom.from_masks(universe, *key), derivable, holds))
     return TruthLemmaReport(len(keys), exhaustive, tuple(mismatches))
 
 

@@ -22,7 +22,7 @@ LEFT_CORRIDOR = "left_corridor"    # stepped onto a view outside corridor and ta
 DEAD_END = "dead_end"              # run halted before reaching the target
 NEVER_REACHES = "never_reaches"    # run cycles forever short of the target
 
-_UNSEEN, _ON_PATH, _SAFE = 0, 1, 2
+UNSEEN, _ON_PATH, _SAFE = 0, 1, 2
 
 
 class SystemValidationError(ValueError):
@@ -350,11 +350,11 @@ class PathWitness:
     loop_start: Optional[int] = None
 
 
-def _explore(system: EpistemicTransitionSystem, sigma: Sequence[Optional[int]],
-             corridor: int, target: int, roots: Sequence[int],
-             status: list[int], trail: list[int],
-             top: Optional[tuple] = None, i: int = 0
-             ) -> "tuple[None | int | str, Optional[tuple], int]":
+def explore(system: EpistemicTransitionSystem, sigma: Sequence[Optional[int]],
+            corridor: int, target: int, roots: Sequence[int],
+            status: list[int], trail: list[int],
+            top: Optional[tuple] = None, i: int = 0
+            ) -> "tuple[None | int | str, Optional[tuple], int]":
     """Depth-first walk over the runs from `roots` under a partial strategy,
     resumable where it stopped.
 
@@ -413,15 +413,15 @@ def _explore(system: EpistemicTransitionSystem, sigma: Sequence[Optional[int]],
             n = len(children)
 
 
-def _move_path(status: list[int], old: Optional[tuple],
-               new: Optional[tuple]) -> None:
-    """Move `_explore`'s _ON_PATH marks from the path ending at node `old`
+def move_path(status: list[int], old: Optional[tuple],
+              new: Optional[tuple]) -> None:
+    """Move `explore`'s _ON_PATH marks from the path ending at node `old`
     to the one ending at `new`; only the two suffixes below their common
     ancestor change."""
     gained = []
     while old is not new:
         if new is None or (old is not None and old[3] >= new[3]):
-            status[old[0]] = _UNSEEN
+            status[old[0]] = UNSEEN
             old = old[2]
         else:
             gained.append(new[0])
@@ -446,9 +446,9 @@ def check_strategy(
     """
     choices, view_of = strategy.choices, system.view_of
     roots = [k for k, m in enumerate(system.view_bit) if m & objective.start]
-    reason, top, i = _explore(system, choices, objective.corridor,
-                              objective.target, roots,
-                              [_UNSEEN] * len(system.states), [])
+    reason, top, i = explore(system, choices, objective.corridor,
+                             objective.target, roots,
+                             [UNSEEN] * len(system.states), [])
     if reason is None:
         return None
     u = roots[i] if top is None else system.succ[top[0]][choices[view_of[top[0]]]][i]

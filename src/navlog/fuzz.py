@@ -1,13 +1,18 @@
 """Randomized soundness checks tying the proof rules to model truth.
 
 Each trial draws a small random system (trial 0 is the fixed eight-state
-fixture) and checks semantic forms of every proof rule, the corridor
-agreement lemma (only corridor choices matter to a witness), and two bridge
-properties.  Where a rule's soundness argument names an explicit witness
-(augmentation and corridor trimming reuse the found strategy, transitivity
-splices two strategies along the first corridor), the transferred witness
-itself is replayed, not just the decision bit.  Violations carry the offending
-system in portable text form so a failure replays outside the fuzzer.
+fixture) and premises over it.  Whenever drawn premises hold, the campaign
+fires `proof`'s rule step on them (`rule_steps`, with one drawn augmentation
+mask) and checks each conclusion the step emits against model truth, so a
+rule added to or changed in the rule step is fuzzed with no edit here.
+Where a rule's soundness argument names an explicit witness (augmentation
+and corridor trimming reuse the premise's strategy, transitivity splices
+the two strategies along the first corridor), the transferred witness itself
+is replayed.  Reflexivity is checked on drawn atoms, since its axioms number
+6^n.  Each holding premise also checks the corridor agreement lemma (only
+corridor choices matter to a witness) and that it holds with recall; recall
+transitivity is checked on its own.  Violations carry the offending system in
+portable text form so a failure replays outside the fuzzer.
 """
 
 from __future__ import annotations
@@ -15,13 +20,15 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from .amnesic import check_atom_amnesic
+from .amnesic import AmnesicDecision, decide_amnesic
 from .core import (AmnesicStrategy, EpistemicTransitionSystem, UntilObjective,
                    check_strategy)
 from .fixtures import T0_ETS, load_t0
-from .recall import check_atom_recall
+from .proof import (AUGMENTATION, REFLEXIVITY, TRANSITIVITY, TRIM_CORRIDOR,
+                    Key, rule_steps)
+from .recall import decide_recall
 from .syntax import Atom, render_system
 
 __all__ = ["FuzzConfig", "FuzzViolation", "FuzzReport",
@@ -36,6 +43,15 @@ class FuzzConfig:
     max_views: int = 4
     max_instructions: int = 2
     density: float = 0.5
+
+    def __post_init__(self) -> None:
+        for name, least in (("trials", 0), ("max_states", 1), ("max_views", 1),
+                            ("max_instructions", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {getattr(self, name)}")
+        if not 0.0 <= self.density <= 1.0:
+            raise ValueError(f"density must lie in [0, 1], got {self.density}")
 
 
 @dataclass(frozen=True)
@@ -85,199 +101,144 @@ def generate_random_system(config: FuzzConfig, trial: int) -> EpistemicTransitio
     return _random_system(_trial_rng(config.seed, trial), config)
 
 
-class _TrialChecker:
-    """Runs every property bundle against one system."""
+class _Campaign:
+    """The checks and violations of one campaign; `start` sets the trial."""
 
-    def __init__(self, trial: int, system: EpistemicTransitionSystem,
-                 rng: random.Random, system_text: str,
-                 checks: Dict[str, int], violations: List[FuzzViolation]):
-        self.trial = trial
-        self.system = system
-        self.rng = rng
-        self.system_text = system_text
-        self.checks = checks
-        self.violations = violations
+    def __init__(self) -> None:
+        self.checks: Dict[str, int] = {}
+        self.violations: List[FuzzViolation] = []
+        self.notes: List[str] = []
+
+    def start(self, trial: int, system: EpistemicTransitionSystem,
+              rng: random.Random) -> None:
+        self.trial, self.system, self.rng = trial, system, rng
         self.side = 1 << len(system.universe)
 
-    def _fail(self, prop: str, detail: str) -> None:
-        self.violations.append(
-            FuzzViolation(self.trial, prop, detail, self.system_text))
-
-    def _count(self, prop: str) -> None:
+    def _check(self, prop: str, ok: bool, detail: Callable[[], str]) -> None:
+        """Count one check of `prop`; a failed one records `detail()`."""
         self.checks[prop] = self.checks.get(prop, 0) + 1
+        if not ok:
+            text = T0_ETS if self.trial == 0 else render_system(self.system)
+            self.violations.append(FuzzViolation(self.trial, prop, detail(), text))
 
-    def _atom(self, a: int, b: int, c: int) -> Atom:
-        return Atom.from_masks(self.system.universe, a, b, c)
+    def _text(self, *keys: Key) -> str:
+        return ", ".join(repr(Atom.from_masks(self.system.universe, *key))
+                         for key in keys)
 
-    def _amnesic(self, a: int, b: int, c: int):
-        return check_atom_amnesic(self.system, self._atom(a, b, c),
-                                  canonical_witness=False)
+    def _amnesic(self, key: Key) -> AmnesicDecision:
+        return decide_amnesic(self.system, UntilObjective(*key),
+                              canonical_witness=False)
 
-    def _recall_holds(self, a: int, b: int, c: int) -> bool:
-        return check_atom_recall(self.system, self._atom(a, b, c)).holds
+    def _recall_holds(self, key: Key) -> bool:
+        return decide_recall(self.system, UntilObjective(*key)).holds
 
-    def _replay(self, prop: str, strategy: AmnesicStrategy,
-                a: int, b: int, c: int, context: str) -> None:
-        self._count(prop)
-        objective = UntilObjective(a, b, c)
-        witness = check_strategy(self.system, strategy, objective)
-        if witness is not None:
-            self._fail(prop, f"{context}: transferred strategy "
-                             f"{strategy.as_map(self.system)} fails "
-                             f"{self._atom(a, b, c)!r} ({witness.reason})")
+    def _expect(self, prop: str, key: Key, premises: Tuple[Key, ...]) -> None:
+        self._check(prop, self._amnesic(key).holds, lambda: (
+            f"{self._text(key)} fails, yet {prop} derives it from "
+            f"{self._text(*premises) or 'no premise'}"))
+
+    def _replay(self, prop: str, strategy: AmnesicStrategy, key: Key,
+                premises: Tuple[Key, ...]) -> None:
+        path = check_strategy(self.system, strategy, UntilObjective(*key))
+        self._check(prop, path is None, lambda: (
+            f"strategy {strategy.as_map(self.system)} taken from "
+            f"{self._text(*premises)} fails {self._text(key)} ({path.reason})"))
 
     def _draw(self) -> int:
         return self.rng.randrange(self.side)
 
     def run(self) -> None:
-        self.reflexivity()
+        for _ in range(2):
+            c = self._draw()
+            self._expect(REFLEXIVITY, (c & self._draw(), self._draw(), c), ())
         for _ in range(5):
-            self.rule_bundle(self._draw(), self._draw(), self._draw())
+            self.fire((self._draw(), self._draw(), self._draw()))
         for _ in range(3):
-            self.transitivity()
+            a, b, c, d, e = (self._draw() for _ in range(5))
+            self.fire((a, b, c), (c, d, e))
         for _ in range(2):
             self.recall_transitivity()
 
-    def reflexivity(self) -> None:
-        for _ in range(2):
-            c = self._draw()
-            a = c & self._draw()
-            b = self._draw()
-            self._count("reflexivity")
-            if not self._amnesic(a, b, c).holds:
-                self._fail("reflexivity",
-                           f"start inside target yet {self._atom(a, b, c)!r} fails")
-
-    def rule_bundle(self, a: int, b: int, c: int) -> None:
-        decision = self._amnesic(a, b, c)
-        if decision.holds:
-            strategy = decision.witness
-            assert strategy is not None or decision.note is not None
-            self._count("amnesic_implies_recall")
-            if not self._recall_holds(a, b, c):
-                self._fail("amnesic_implies_recall",
-                           f"{self._atom(a, b, c)!r} holds amnesically but not with recall")
-            if strategy is not None:
-                d = self._draw()
-                self._replay("augmentation", strategy, a | d, b, c | d,
-                             f"widening {self._atom(a, b, c)!r} by mask {d:#x}")
-                self._replay("trim_corridor", strategy, a, b & ~c, c,
-                             f"trimming {self._atom(a, b, c)!r}")
-                mutated = _mutate_off_corridor(strategy, b,
-                                               len(self.system.instructions),
-                                               self.rng)
-                self._replay("corridor_agreement", mutated, a, b, c,
-                             f"re-rolling off-corridor choices of "
-                             f"{self._atom(a, b, c)!r}")
-        if not b:
-            self._count("zero_step")
-            if decision.holds and not self._amnesic(a & ~c, 0, 0).holds:
-                self._fail("zero_step",
-                           f"{self._atom(a, 0, c)!r} holds but leftover starts are populated")
-        self._count("empty_target")
-        if self._amnesic(a, b, 0).holds and not self._amnesic(a, 0, 0).holds:
-            self._fail("empty_target",
-                       f"{self._atom(a, b, 0)!r} holds on populated starts")
-
-    def transitivity(self) -> None:
-        a, b, c, e = self._draw(), self._draw(), self._draw(), self._draw()
-        d = self._draw() & ~b
-        first = self._amnesic(a, b, c)
-        if not first.holds:
+    def fire(self, first: Key, *partners: Key) -> None:
+        """When `first` holds, fire the rule step on it with the partners
+        that hold, and check every conclusion the step emits."""
+        decision = self._amnesic(first)
+        if not decision.holds:
             return
-        second = self._amnesic(c, d, e)
-        if not second.holds:
-            return
-        self._count("transitivity")
-        if not self._amnesic(a, b | d, e).holds:
-            self._fail("transitivity",
-                       f"{self._atom(a, b, c)!r} and {self._atom(c, d, e)!r} hold "
-                       f"but {self._atom(a, b | d, e)!r} fails")
-        if first.witness is not None and second.witness is not None:
-            spliced = _splice(first.witness, second.witness, b)
-            self._replay("transitivity_splice", spliced, a, b | d, e,
-                         f"splicing witnesses of {self._atom(a, b, c)!r} "
-                         f"and {self._atom(c, d, e)!r}")
+        held, witness = [first], {first: decision.witness}
+        self._check("amnesic_implies_recall", self._recall_holds(first), lambda:
+                    f"{self._text(first)} holds amnesically but not with recall")
+        n_instructions = len(self.system.instructions)
+        rerolled = AmnesicStrategy(tuple(self.rng.randrange(n_instructions)
+                                         for _ in decision.witness.choices))
+        self._replay("corridor_agreement",
+                     _splice(decision.witness, rerolled, first[1]), first, (first,))
+        for key in partners:
+            decision = self._amnesic(key)
+            if decision.holds:
+                held.append(key)
+                witness[key] = decision.witness
+        for key, rule, used in rule_steps(tuple(held), (self._draw(),)):
+            if rule in (AUGMENTATION, TRIM_CORRIDOR):
+                self._replay(rule, witness[used[0]], key, used)
+                continue
+            self._expect(rule, key, used)
+            if rule == TRANSITIVITY:
+                spliced = _splice(witness[used[0]], witness[used[1]], used[0][1])
+                self._replay("transitivity_splice", spliced, key, used)
+
+    def fixture(self) -> None:
+        """Trial 0 carries a known counterexample: chaining two unrestricted
+        amnesic trips can fail when their corridors overlap, which is why the
+        transitivity rule demands disjoint corridors.  The shape is asserted
+        so the engines cannot drift, and the two trips are fed to the rule
+        step, which must not chain them."""
+        universe = self.system.universe
+        v1, v2, v6 = (1 << universe.index(v) for v in ("v1", "v2", "v6"))
+        legs = ((v1, universe.full, v6), (v6, universe.full, v2))
+        holds = [self._amnesic(key).holds
+                 for key in (*legs, (v1, universe.full, v2))]
+        self._check("fixture_counterexample", holds == [True, True, False],
+                    lambda: "expected holds/holds/fails for the chained trips, "
+                            f"got {holds}")
+        self.fire(*legs)
+        self.notes.append(
+            "trial 0: v1 reaches v6 and v6 reaches v2, yet v1 does not reach "
+            "v2 amnesically; overlapping corridors admit no spliced witness")
 
     def recall_transitivity(self) -> None:
         full = self.side - 1
         a, c, e = self._draw(), self._draw(), self._draw()
-        if not self._recall_holds(a, full, c):
-            return
-        if not self._recall_holds(c, full, e):
-            return
-        self._count("recall_transitivity")
-        if not self._recall_holds(a, full, e):
-            self._fail("recall_transitivity",
-                       f"recall reaches {c:#x} from {a:#x} and {e:#x} from {c:#x} "
-                       f"but not {e:#x} from {a:#x}")
-
-
-def _mutate_off_corridor(strategy: AmnesicStrategy, corridor: int,
-                         n_instructions: int, rng: random.Random) -> AmnesicStrategy:
-    """Re-roll every choice at views outside the corridor.  A successful run
-    only ever consults corridor views before reaching the target, so two
-    strategies that agree there succeed together."""
-    choices = tuple(
-        choice if corridor & (1 << k) else rng.randrange(n_instructions)
-        for k, choice in enumerate(strategy.choices))
-    return AmnesicStrategy(choices)
+        if self._recall_holds((a, full, c)) and self._recall_holds((c, full, e)):
+            self._check("recall_transitivity", self._recall_holds((a, full, e)),
+                        lambda: f"recall reaches {c:#x} from {a:#x} and {e:#x} "
+                                f"from {c:#x} but not {e:#x} from {a:#x}")
 
 
 def _splice(first: AmnesicStrategy, second: AmnesicStrategy,
             corridor: int) -> AmnesicStrategy:
-    """First strategy on corridor views, second elsewhere.  Sound exactly when
-    the second premise's corridor is disjoint from `corridor`."""
+    """First strategy on corridor views, second elsewhere.  A winning run
+    consults only corridor views before it reaches the target, so the splice
+    still wins what the first strategy wins; it wins a transitivity
+    conclusion when the second premise's corridor is disjoint from
+    `corridor`."""
     choices = tuple(
         first.choices[k] if corridor & (1 << k) else second.choices[k]
         for k in range(len(first.choices)))
     return AmnesicStrategy(choices)
 
 
-def _fixture_note(checks: Dict[str, int], violations: List[FuzzViolation]) -> str:
-    """Trial 0 carries a known counterexample: chaining two unrestricted
-    amnesic trips can fail when their corridors overlap, which is why the
-    transitivity rule demands disjoint corridors.  The shape is asserted so
-    the engines cannot drift."""
-    system = load_t0()
-    universe = system.universe
-    full = (1 << len(universe)) - 1
-    v1 = 1 << universe.index("v1")
-    v2 = 1 << universe.index("v2")
-    v6 = 1 << universe.index("v6")
-    legs = [
-        check_atom_amnesic(system, Atom.from_masks(universe, v1, full, v6),
-                           canonical_witness=False).holds,
-        check_atom_amnesic(system, Atom.from_masks(universe, v6, full, v2),
-                           canonical_witness=False).holds,
-        check_atom_amnesic(system, Atom.from_masks(universe, v1, full, v2),
-                           canonical_witness=False).holds,
-    ]
-    checks["fixture_counterexample"] = checks.get("fixture_counterexample", 0) + 1
-    if legs != [True, True, False]:
-        violations.append(FuzzViolation(
-            0, "fixture_counterexample",
-            f"expected holds/holds/fails for the chained trips, got {legs}",
-            T0_ETS))
-    return ("trial 0: v1 reaches v6 and v6 reaches v2, yet v1 does not reach v2 "
-            "amnesically; overlapping corridors admit no spliced witness")
-
-
 def fuzz_soundness(config: FuzzConfig = FuzzConfig()) -> FuzzReport:
     started = time.perf_counter()
-    checks: Dict[str, int] = {}
-    violations: List[FuzzViolation] = []
-    notes: List[str] = []
+    campaign = _Campaign()
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, trial)
         if trial == 0:
-            system = load_t0()
-            system_text = T0_ETS
-            notes.append(_fixture_note(checks, violations))
+            campaign.start(trial, load_t0(), rng)
+            campaign.fixture()
         else:
-            system = _random_system(rng, config)
-            system_text = render_system(system)
-        _TrialChecker(trial, system, rng, system_text, checks, violations).run()
+            campaign.start(trial, _random_system(rng, config), rng)
+        campaign.run()
     elapsed = time.perf_counter() - started
-    return FuzzReport(config, config.trials, checks, tuple(violations),
-                      tuple(notes), elapsed)
+    return FuzzReport(config, config.trials, campaign.checks,
+                      tuple(campaign.violations), tuple(campaign.notes), elapsed)

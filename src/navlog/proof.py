@@ -13,9 +13,11 @@ triples.  Six rules generate the closure of a set of assumed atoms:
 
 Each rule is stated once: reflexivity, with the assumptions, in `_axioms`, and
 the other five in the rule step `_fire`.  `saturate` fires that step on every
-atom of a worklist; `is_closed` and `verify_provenance` replay the same step,
-so the independent check of the rules themselves is the round-based closure
-the tests keep (tests/_oracles.py).
+atom of a worklist; `is_closed` replays it, and `verify_provenance` and the
+fuzz campaign call it through `rule_steps`.  The campaign checks every
+conclusion it yields against model truth on random systems; the round-based
+closure the tests keep (tests/_oracles.py) checks the rules as the paper
+writes them.
 
 Saturation enumerates the whole (2^|V|)^3 atom space in the worst case, so
 the universe size is capped (default 5 views; `max_views` overrides).
@@ -39,7 +41,7 @@ __all__ = [
     "ASSUMPTION", "REFLEXIVITY", "AUGMENTATION", "TRANSITIVITY",
     "TRIM_CORRIDOR", "ZERO_STEP", "EMPTY_TARGET",
     "Key", "Closure", "DerivationTree", "UniverseTooLarge",
-    "saturate", "is_closed", "derives", "explain",
+    "saturate", "is_closed", "derives", "explain", "rule_steps",
     "LemmaViolation", "LemmaSweepReport", "check_derived_lemmas",
     "verify_provenance",
 ]
@@ -106,17 +108,18 @@ def _axioms(full: int, assumed: Iterable[Key]):
         yield key, ASSUMPTION, ()
 
 
-def _fire(t: Key, full: int, by_start: Dict[int, list[Key]],
+def _fire(t: Key, masks: Iterable[int], by_start: Dict[int, list[Key]],
           by_target: Dict[int, list[Key]], add) -> None:
     """Pass `add(key, rule, premises)` every step with `t` as a premise.
 
-    The other transitivity premise comes from the atoms indexed by start (`t`
-    on the left) or by target (`t` on the right), each index as it stands
-    when its loop begins.  Partner checks stay inline: saturation examines
-    far more transitivity pairs than it derives atoms.
+    Augmentation widens by each of `masks`.  The other transitivity premise
+    comes from the atoms indexed by start (`t` on the left) or by target (`t`
+    on the right), each index as it stands when its loop begins.  Partner
+    checks stay inline: saturation examines far more transitivity pairs than
+    it derives atoms.
     """
     a, b, c = t
-    for d in range(full + 1):
+    for d in masks:
         add((a | d, b, c | d), AUGMENTATION, (t,))
     add((a, b & ~c, c), TRIM_CORRIDOR, (t,))
     if b == 0:
@@ -151,9 +154,27 @@ def _close(full: int, seeds: Iterable[tuple]) -> Dict[Key, Tuple[str, Tuple[Key,
 
     for step in seeds:
         add(*step)
+    masks = range(full + 1)
     while queue:
-        _fire(queue.popleft(), full, by_start, by_target, add)
+        _fire(queue.popleft(), masks, by_start, by_target, add)
     return provenance
+
+
+def rule_steps(premises: Tuple[Key, ...],
+               masks: Iterable[int]) -> list[Tuple[Key, str, Tuple[Key, ...]]]:
+    """The (conclusion, rule, premises) steps the rule step yields when fired
+    on `premises[0]`, in firing order.
+
+    `premises[1:]` are the only transitivity partners, with `premises[0]` on
+    the left, and augmentation widens by each of `masks` (all of them,
+    `range(full + 1)`, to match saturation).
+    """
+    partners: Dict[int, list[Key]] = {}
+    for p in premises[1:]:
+        partners.setdefault(p[0], []).append(p)
+    steps: list = []
+    _fire(premises[0], masks, partners, {}, lambda *step: steps.append(step))
+    return steps
 
 
 def saturate(universe: Universe, assumptions: Iterable[Atom] = (),
@@ -317,8 +338,7 @@ def verify_provenance(closure: Closure) -> list[str]:
 
     Checks that premises are themselves derived and that each recorded step
     is one the rules produce: a premise-free step must be an axiom, and any
-    other must be among the steps the rule step yields when fired on its
-    first recorded premise with the remaining premises as the only partners.
+    other must be among the `rule_steps` of its recorded premises.
     Then reports, in provenance order, every atom whose derivation is not
     well-founded (it leads back into a cycle); a step already reported as
     unjustified counts as a leaf there.
@@ -332,11 +352,7 @@ def verify_provenance(closure: Closure) -> list[str]:
         for p in premises:
             if p not in closure.derived:
                 problems.append(f"{key}: premise {p} is not derived")
-        steps = axioms
-        if premises:
-            steps = set()
-            _fire(premises[0], full, {p[0]: [p] for p in premises[1:]}, {},
-                  lambda *step: steps.add(step))
+        steps = rule_steps(premises, range(full + 1)) if premises else axioms
         if (key, rule, premises) not in steps:
             problems.append(f"{key}: rule {rule} does not justify this step")
             premises = ()                 # reported: a leaf from here on

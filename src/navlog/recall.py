@@ -23,10 +23,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional
 
-from .core import EpistemicTransitionSystem
+from .core import EpistemicTransitionSystem, UntilObjective
 from .syntax import Atom
 
-__all__ = ["Belief", "RecallDecision", "check_atom_recall", "verify_recall_witness"]
+__all__ = ["Belief", "RecallDecision", "decide_recall", "check_atom_recall",
+           "verify_recall_witness"]
 
 _Key = tuple[int, tuple[int, ...]]   # (view index, sorted state indices)
 
@@ -97,8 +98,9 @@ class RecallDecision:
     explored: int
 
 
-def check_atom_recall(system: EpistemicTransitionSystem, atom: Atom) -> RecallDecision:
-    """Decide one atom for a perfect-recall agent (sure winning).
+def decide_recall(system: EpistemicTransitionSystem,
+                  objective: UntilObjective) -> RecallDecision:
+    """Decide one mask triple for a perfect-recall agent (sure winning).
 
     Beliefs are discovered lazily from the initial beliefs under every
     instruction; play stops at target views, and a belief off both corridor
@@ -107,8 +109,8 @@ def check_atom_recall(system: EpistemicTransitionSystem, atom: Atom) -> RecallDe
     joins when some instruction lets no possible state halt and sends every
     successor belief into the current winning set.
     """
-    start_mask, corridor_mask, target_mask = atom.masks(system.universe)
-    init = _initial(system, start_mask)
+    corridor_mask, target_mask = objective.corridor, objective.target
+    init = _initial(system, objective.start)
 
     expanded: Dict[_Key, list] = {}          # corridor beliefs -> successors per instruction
     winning: set[_Key] = set()               # target-view beliefs found
@@ -150,6 +152,11 @@ def check_atom_recall(system: EpistemicTransitionSystem, atom: Atom) -> RecallDe
         return RecallDecision(False, None, len(seen))
     return RecallDecision(True, {_belief(system, key): system.instructions[instr]
                                  for key, instr in witness.items()}, len(seen))
+
+
+def check_atom_recall(system: EpistemicTransitionSystem, atom: Atom) -> RecallDecision:
+    """Decide one atom for a perfect-recall agent; see `decide_recall`."""
+    return decide_recall(system, UntilObjective(*atom.masks(system.universe)))
 
 
 def verify_recall_witness(system: EpistemicTransitionSystem, atom: Atom,

@@ -365,6 +365,16 @@ class TestFuzzCommand:
         assert report["checks"]["reflexivity"] == 40
         assert len(report["notes"]) == 1
 
+    @pytest.mark.parametrize("option, value", [
+        ("--trials", "-5"), ("--max-views", "0"), ("--max-states", "0"),
+        ("--max-instructions", "0"), ("--density", "nan"), ("--density", "2"),
+    ])
+    def test_bad_bound_is_a_usage_error(self, capsys, option, value):
+        code, out, err = run(capsys, "fuzz", option, value)
+        assert code == 2 and out == ""
+        assert err.startswith("navlog: error: ") and err.count("\n") == 1
+        assert option[2:].replace("-", "_") in err
+
 
 class TestFixtureCommand:
     def test_prints_exact_text(self, capsys):

@@ -1,12 +1,32 @@
 """Random-system generator contract and the soundness campaign driver."""
 
+import pytest
+
+from navlog import fuzz
 from navlog.fuzz import FuzzConfig, fuzz_soundness, generate_random_system
+from navlog.proof import TRANSITIVITY
 
 ALL_PROPERTIES = {
     "reflexivity", "amnesic_implies_recall", "augmentation", "trim_corridor",
     "corridor_agreement", "zero_step", "empty_target", "transitivity",
     "transitivity_splice", "recall_transitivity", "fixture_counterexample",
 }
+
+
+RULE_AND_CONSTRUCTIVE = ALL_PROPERTIES - {
+    "reflexivity", "amnesic_implies_recall", "recall_transitivity",
+    "fixture_counterexample"}
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("trials", -1), ("max_states", 0), ("max_views", 0),
+        ("max_instructions", 0), ("density", float("nan")), ("density", 2.0),
+        ("density", -0.5),
+    ])
+    def test_rejects_a_bad_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FuzzConfig(**{field: value})
 
 
 class TestGenerator:
@@ -72,3 +92,23 @@ class TestCampaign:
         assert set(report.checks) == ALL_PROPERTIES
         assert all(count >= 1 for count in report.checks.values())
         assert report.elapsed_s >= 0
+
+    def test_default_campaign_checks_every_rule_often(self):
+        report = fuzz_soundness(FuzzConfig())
+        assert report.ok
+        assert all(report.checks[prop] >= 100 for prop in RULE_AND_CONSTRUCTIVE)
+
+    def test_campaign_fires_the_proof_rule_step(self, monkeypatch):
+        """A rule step that chains overlapping corridors is caught on the
+        fixture's two trips, with no edit to the campaign."""
+        real = fuzz.rule_steps
+
+        def careless(premises, masks):
+            (a, b, c), partners = premises[0], premises[1:]
+            return real(premises, masks) + [
+                ((a, b | u[1], u[2]), TRANSITIVITY, (premises[0], u))
+                for u in partners if u[0] == c and b & u[1]]
+
+        monkeypatch.setattr(fuzz, "rule_steps", careless)
+        report = fuzz_soundness(FuzzConfig(trials=1))
+        assert TRANSITIVITY in {v.prop for v in report.violations}

@@ -21,8 +21,8 @@ from navlog.core import Universe
 from navlog.proof import (ASSUMPTION, AUGMENTATION, EMPTY_TARGET,
                           REFLEXIVITY, TRANSITIVITY, TRIM_CORRIDOR, ZERO_STEP,
                           UniverseTooLarge, check_derived_lemmas, derives,
-                          explain, is_closed, saturate, verify_provenance,
-                          Closure)
+                          explain, is_closed, rule_steps, saturate,
+                          verify_provenance, Closure)
 from navlog.syntax import Atom
 
 XY = Universe(("x", "y"))
@@ -230,11 +230,26 @@ ORACLE_THEORIES = [_random_theory(seed) for seed in range(30)] + [
 
 @pytest.mark.parametrize("universe, assumptions", ORACLE_THEORIES)
 def test_saturation_matches_round_based_closure(universe, assumptions):
-    """is_closed and verify_provenance replay the engine's own rule step, so
-    only this oracle checks that step against the rules as written."""
+    """is_closed and verify_provenance replay the engine's own rule step, and
+    the fuzz campaign checks its conclusions against model truth; only this
+    oracle checks that step against the rules as written."""
     expected = closure_by_rounds(
         len(universe), [a.masks(universe) for a in assumptions])
     assert saturate(universe, assumptions).derived == expected
+
+
+def test_rule_steps_fire_on_the_first_premise_with_the_given_masks():
+    first, second = (X, Y, Z), (Z, X, Y)
+    assert rule_steps((first, second, (Z, Y, Y)), (X,)) == [
+        ((X, Y, X | Z), AUGMENTATION, (first,)),
+        ((X, Y, Z), TRIM_CORRIDOR, (first,)),
+        ((X, X | Y, Y), TRANSITIVITY, (first, second)),
+    ]
+    assert rule_steps(((X | Y, 0, 0), first), ()) == [
+        ((X | Y, 0, 0), TRIM_CORRIDOR, ((X | Y, 0, 0),)),
+        ((X | Y, 0, 0), ZERO_STEP, ((X | Y, 0, 0),)),
+        ((X | Y, 0, 0), EMPTY_TARGET, ((X | Y, 0, 0),)),
+    ]
 
 
 # One corrupted step per defect verify_provenance must report, in the theory
