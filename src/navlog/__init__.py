@@ -28,7 +28,7 @@ from .proof import (ASSUMPTION, AUGMENTATION, EMPTY_TARGET, REFLEXIVITY,
                     UniverseTooLarge, check_derived_lemmas, derives, explain,
                     is_closed, rule_steps, saturate, verify_provenance)
 from .recall import (Belief, RecallDecision, check_atom_recall,
-                     decide_recall, verify_recall_witness)
+                     decide_recall, verify_recall_witness, winning_views)
 from .syntax import (Atom, AtomNode, Formula, Implies, Not, ParseError,
                      as_atom, parse_formula, parse_system, render_formula,
                      render_system)
@@ -50,7 +50,7 @@ __all__ = [
     "NavigabilityTable", "navigability_table",
     # recall
     "Belief", "RecallDecision", "decide_recall", "check_atom_recall",
-    "verify_recall_witness",
+    "winning_views", "verify_recall_witness",
     # proof
     "ASSUMPTION", "REFLEXIVITY", "AUGMENTATION", "TRANSITIVITY",
     "TRIM_CORRIDOR", "ZERO_STEP", "EMPTY_TARGET", "Closure",

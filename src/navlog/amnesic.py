@@ -218,23 +218,36 @@ class NavigabilityTable:
 
 def navigability_table(system: EpistemicTransitionSystem, classes: Sequence[str],
                        modes: Sequence[str] = ("amnesic", "recall")) -> NavigabilityTable:
-    """Grid of nav({row}; ALL; {col}) verdicts over the given view classes."""
+    """Grid of nav({row}; ALL; {col}) verdicts over the given view classes.
+
+    Recall is decided first, one solve per column.  A forgetful strategy is
+    also a perfect-recall one, so a cell where recall fails is '-' in every
+    mode, and the amnesic search runs only on the cells where recall holds.
+    """
     universe = system.universe
     for mode in modes:
         if mode not in ("amnesic", "recall"):
             raise ValueError(f"unknown mode {mode!r}")
-    grid = []
-    for row in classes:
+    if not modes:
+        raise ValueError("no mode given; choose from amnesic, recall")
+    bits = [universe.mask([name]) for name in classes]
+    starts = 0
+    for name, bit in zip(classes, bits):
+        if starts & bit:
+            raise ValueError(f"duplicate class {name!r}")
+        starts |= bit
+    columns = []
+    for target in bits:
+        wins = _recall.winning_views(system, starts, universe.full, target)
         cells = []
-        for col in classes:
-            objective = UntilObjective(universe.mask([row]), universe.full,
-                                       universe.mask([col]))
-            if "amnesic" in modes and decide_amnesic(
-                    system, objective, canonical_witness=False).holds:
-                cells.append("a")
-            elif "recall" in modes and _recall.decide_recall(system, objective).holds:
-                cells.append("r")
-            else:
+        for start in bits:
+            if not wins & start:
                 cells.append("-")
-        grid.append(tuple(cells))
-    return NavigabilityTable(tuple(classes), tuple(grid))
+            elif "amnesic" in modes and decide_amnesic(
+                    system, UntilObjective(start, universe.full, target),
+                    canonical_witness=False).holds:
+                cells.append("a")
+            else:
+                cells.append("r" if "recall" in modes else "-")
+        columns.append(cells)
+    return NavigabilityTable(tuple(classes), tuple(zip(*columns)))

@@ -11,6 +11,7 @@ explore, reported as one `navlog: internal error:` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -471,7 +472,12 @@ def _add_json(sub) -> None:
                      help="emit a machine-readable report")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `navlog` argument parser, built on first use and then shared.
+
+    Parsing keeps no state in the parser: each call gets a fresh namespace,
+    and repeatable options start from a fresh list."""
     parser = argparse.ArgumentParser(
         prog="navlog",
         description="Decide view-level navigability for a forgetful or "

@@ -15,10 +15,19 @@ is (view index, sorted tuple of state indices), whose plain tuple order is
 declaration order.  Beliefs are discovered and replayed in that order, so every
 run gives the same witness.  Names appear only in `Belief`, built when a
 witness is returned and when `verify_recall_witness` looks up an entry.
+
+A belief's successor rows (one per instruction) depend only on the system,
+so each system keeps one memo of them, shared by every objective decided on
+it: `evaluate`'s atoms and `navigability_table`'s columns expand each belief
+once.  The memo is held weakly by system and holds only integers, so it goes
+when the system does.  `winning_views` answers a whole column of start views
+with one solve.  `verify_recall_witness` never reads the memo: it recomputes
+every step it replays, so a defect in the memo cannot vouch for itself.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional
@@ -27,9 +36,15 @@ from .core import EpistemicTransitionSystem, UntilObjective
 from .syntax import Atom
 
 __all__ = ["Belief", "RecallDecision", "decide_recall", "check_atom_recall",
-           "verify_recall_witness"]
+           "winning_views", "verify_recall_witness"]
 
 _Key = tuple[int, tuple[int, ...]]   # (view index, sorted state indices)
+_Rows = tuple[Optional[list[_Key]], ...]   # successor beliefs per instruction
+
+# Per system: belief -> successor rows, filled as beliefs are expanded.  Rows
+# are a function of the system, so a write racing another only repeats a row.
+_ROWS: "weakref.WeakKeyDictionary[EpistemicTransitionSystem, Dict[_Key, _Rows]]" = \
+    weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -98,21 +113,25 @@ class RecallDecision:
     explored: int
 
 
-def decide_recall(system: EpistemicTransitionSystem,
-                  objective: UntilObjective) -> RecallDecision:
-    """Decide one mask triple for a perfect-recall agent (sure winning).
+def _solve(system: EpistemicTransitionSystem, init: list[_Key], corridor_mask: int,
+           target_mask: int) -> tuple[set[_Key], Dict[_Key, int], int]:
+    """The winning beliefs reachable from `init`, their witness instructions
+    in the order they joined, and the number of beliefs discovered.
 
-    Beliefs are discovered lazily from the initial beliefs under every
-    instruction; play stops at target views, and a belief off both corridor
-    and target is lost outright; each batch of new beliefs is queued in
-    declaration order.  The winning set grows by rounds: a corridor belief
-    joins when some instruction lets no possible state halt and sends every
-    successor belief into the current winning set.
+    Beliefs are discovered lazily from `init` under every instruction; play
+    stops at target views, and a belief off both corridor and target is lost
+    outright; each batch of new beliefs is queued in declaration order.  The
+    winning set grows by rounds: a corridor belief joins when some
+    instruction lets no possible state halt and sends every successor belief
+    into the current winning set.  A belief's verdict depends only on what
+    it reaches, so solving several initial beliefs together gives each the
+    verdict it gets alone.
     """
-    corridor_mask, target_mask = objective.corridor, objective.target
-    init = _initial(system, objective.start)
-
-    expanded: Dict[_Key, list] = {}          # corridor beliefs -> successors per instruction
+    memo = _ROWS.get(system)
+    if memo is None:
+        memo = _ROWS[system] = {}
+    n_instructions = len(system.instructions)
+    expanded: Dict[_Key, _Rows] = {}         # corridor beliefs -> successors per instruction
     winning: set[_Key] = set()               # target-view beliefs found
     seen: set[_Key] = set(init)
     queue = deque(init)
@@ -124,10 +143,11 @@ def decide_recall(system: EpistemicTransitionSystem,
             continue
         if not bit & corridor_mask:
             continue
-        rows = []
-        for instr in range(len(system.instructions)):
-            succs = _step(system, key, instr)
-            rows.append(succs)
+        rows = memo.get(key)
+        if rows is None:
+            rows = memo[key] = tuple(_step(system, key, instr)
+                                     for instr in range(n_instructions))
+        for succs in rows:
             if succs is not None:
                 fresh = [nb for nb in succs if nb not in seen]
                 seen.update(fresh)
@@ -147,11 +167,39 @@ def decide_recall(system: EpistemicTransitionSystem,
                     witness[key] = instr
                     changed = True
                     break
+    return winning, witness, len(seen)
 
+
+def decide_recall(system: EpistemicTransitionSystem,
+                  objective: UntilObjective) -> RecallDecision:
+    """Decide one mask triple for a perfect-recall agent (sure winning).
+
+    The atom holds when every initial belief wins; see `_solve`.
+    """
+    init = _initial(system, objective.start)
+    winning, witness, explored = _solve(system, init, objective.corridor,
+                                        objective.target)
     if not all(key in winning for key in init):
-        return RecallDecision(False, None, len(seen))
+        return RecallDecision(False, None, explored)
     return RecallDecision(True, {_belief(system, key): system.instructions[instr]
-                                 for key, instr in witness.items()}, len(seen))
+                                 for key, instr in witness.items()}, explored)
+
+
+def winning_views(system: EpistemicTransitionSystem, start_mask: int,
+                  corridor_mask: int, target_mask: int) -> int:
+    """The start views v for which nav({v}; corridor; target) holds under
+    perfect recall, as a mask, from one solve over every start view.
+
+    A view that no state observes has no initial belief and wins vacuously,
+    as it does in `decide_recall`.
+    """
+    init = _initial(system, start_mask)
+    winning, _, _ = _solve(system, init, corridor_mask, target_mask)
+    wins = start_mask
+    for key in init:
+        if key not in winning:
+            wins &= ~(1 << key[0])
+    return wins
 
 
 def check_atom_recall(system: EpistemicTransitionSystem, atom: Atom) -> RecallDecision:

@@ -16,10 +16,12 @@ from conftest import T0_GRID, small_random_system, two_way_chain
 from _oracles import find_witness_by_enumeration, holds_by_enumeration
 
 from navlog import amnesic, recall
-from navlog.amnesic import (check_atom_amnesic, evaluate, navigability_table)
+from navlog.amnesic import (check_atom_amnesic, decide_amnesic, evaluate,
+                            navigability_table)
 from navlog.core import AmnesicStrategy, UntilObjective, check_strategy
-from navlog.recall import check_atom_recall
-from navlog.syntax import Atom, AtomNode, Implies, Not, parse_formula
+from navlog.recall import check_atom_recall, decide_recall
+from navlog.syntax import (Atom, AtomNode, Implies, Not, parse_formula,
+                           parse_system, render_system)
 
 
 def atom_over(system, start, corridor, target) -> Atom:
@@ -87,6 +89,71 @@ class TestT0Grid:
         assert len(lines) == 7
         assert lines[0].split() == list(t0.universe.names)
         assert lines[3].split() == ["v3", "-", "-", "a", "r", "-", "-"]
+
+
+class TestTableArguments:
+    def test_duplicate_class_is_rejected(self, t0):
+        with pytest.raises(ValueError, match="duplicate class 'v1'"):
+            navigability_table(t0, ["v1", "v3", "v1"])
+
+    def test_no_mode_is_rejected(self, t0):
+        with pytest.raises(ValueError, match="no mode given"):
+            navigability_table(t0, ["v1", "v3"], modes=())
+
+    def test_unknown_mode_is_rejected(self, t0):
+        with pytest.raises(ValueError, match="unknown mode 'memory'"):
+            navigability_table(t0, ["v1"], modes=("memory",))
+
+
+def table_cell_by_cell(system, classes, modes):
+    """The grid asked one cell at a time: an amnesic search for every cell,
+    then recall where it fails, each deciding its objective from scratch."""
+    universe = system.universe
+    grid = []
+    for row in classes:
+        cells = []
+        for col in classes:
+            objective = UntilObjective(universe.mask([row]), universe.full,
+                                       universe.mask([col]))
+            if "amnesic" in modes and decide_amnesic(
+                    system, objective, canonical_witness=False).holds:
+                cells.append("a")
+            elif "recall" in modes and decide_recall(system, objective).holds:
+                cells.append("r")
+            else:
+                cells.append("-")
+        grid.append(tuple(cells))
+    return tuple(grid)
+
+
+def test_table_matches_cell_by_cell_grid():
+    """The table decides recall once per column and the amnesic search only
+    where recall holds; its slow twin decides every cell alone, on its own
+    parsed copy of the system so that no belief rows are shared.  The
+    corpus must hold dead ends, views no state observes, each mode set and
+    class subsets, or the comparison proves less than it claims."""
+    seen = set()
+    for seed in range(240):
+        rng = random.Random(seed)
+        system = small_random_system(rng, max_views=4, max_instructions=2,
+                                     max_states=6, density=0.3)
+        names = list(system.universe.names)
+        modes = [("amnesic", "recall"), ("amnesic",), ("recall",)][seed % 3]
+        classes = names if seed % 2 else rng.sample(names, rng.randint(1, len(names)))
+        copy = parse_system(render_system(system))
+        table = navigability_table(system, classes, modes)
+        assert table.classes == tuple(classes)
+        assert table.grid == table_cell_by_cell(copy, classes, modes), seed
+        if any(not targets for rows in system.succ for targets in rows):
+            seen.add("dead end")
+        if set(system.view_of) != set(range(len(names))):
+            seen.add("unobserved view")
+        seen.add(modes)
+        seen.add("class subset" if len(classes) < len(names) else "all classes")
+        seen.update(cell for row in table.grid for cell in row)
+    assert seen >= {"dead end", "unobserved view", ("amnesic", "recall"),
+                    ("amnesic",), ("recall",), "class subset", "all classes",
+                    "a", "r", "-"}
 
 
 class TestWitnesses:

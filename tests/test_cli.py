@@ -5,13 +5,18 @@ against the module's published schemas, not just spot-read.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from conftest import T0_GRID, two_way_chain
 
-from navlog.cli import REPORT_SCHEMA, TABLE_SCHEMA, run_cli
+import navlog
+from navlog.cli import REPORT_SCHEMA, TABLE_SCHEMA, build_parser, run_cli
 from navlog.fixtures import T0_ETS, T1_ETS
 from navlog.syntax import parse_system, render_system
 
@@ -176,6 +181,46 @@ class TestTable:
         assert set(table["grid"]) == {"v1", "v3"}
         cells = {cell for row in table["grid"].values() for cell in row.values()}
         assert cells <= {"a", "-"}
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--classes", "v1,v3,v1", "duplicate class 'v1'"),
+        ("--modes", "", "no mode given"),
+    ])
+    def test_bad_grid_request_is_a_usage_error(self, capsys, t0_path, option,
+                                               value, message):
+        code, out, err = run(capsys, "table", t0_path, option, value)
+        assert code == 2 and out == ""
+        assert err.startswith("navlog: error: ") and err.count("\n") == 1
+        assert message in err
+
+
+class TestParserReuse:
+    """One parser serves every call in a process; no call may see another's
+    options, defaults or failure."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_match_a_fresh_process(self, capsys, monkeypatch, t0_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        calls = [
+            ("saturate", "--views", "x,y", "--assume", "nav({x}; {}; {y})"),
+            ("saturate", "--views", "x,y"),
+            ("check", t0_path),
+            ("table", t0_path, "--json"),
+        ]
+        src = str(Path(navlog.__file__).resolve().parents[1])
+        env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        codes = []
+        for argv in calls:
+            in_process = run(capsys, *argv)
+            proc = subprocess.run([sys.executable, "-m", "navlog.cli", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=120)
+            assert in_process == (proc.returncode, proc.stdout, proc.stderr), argv
+            codes.append(in_process[0])
+        assert codes == [0, 0, 2, 0]
 
 
 THEORY = ("--views", "x,y", "--assume", "nav({x}; {}; {y})")

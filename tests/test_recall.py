@@ -6,11 +6,13 @@ with two look-alike states (c and e share a view) pins the places where
 recall genuinely beats forgetfulness.
 """
 
+import gc
 import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,14 +22,15 @@ from hypothesis import strategies as st
 from conftest import small_random_system
 
 import navlog
+from navlog import recall as recall_engine
 from navlog.amnesic import check_atom_amnesic
 from navlog.cli import run_cli
 from navlog.core import EpistemicTransitionSystem
 from navlog.fixtures import T0_ETS, T1_ETS
 from navlog.fuzz import FuzzConfig, generate_random_system
 from navlog.recall import (Belief, RecallDecision, check_atom_recall,
-                           verify_recall_witness)
-from navlog.syntax import Atom, render_system
+                           verify_recall_witness, winning_views)
+from navlog.syntax import Atom, parse_system, render_system
 
 
 def atom_over(system, start, corridor, target) -> Atom:
@@ -168,6 +171,79 @@ class TestWitnessChecking:
         atom = atom_over(system, ["v0"], views, [f"v{n - 1}"])
         witness = {Belief(f"v{k}", frozenset({f"s{k}"})): "0" for k in range(n - 1)}
         assert verify_recall_witness(system, atom, witness) == []
+
+
+class TestBeliefMemo:
+    """Each system keeps one memo of belief successor rows, shared by every
+    objective decided on it.  It must not change an answer, must not leak
+    into the witness verifier, and must go with its system."""
+
+    def test_shared_memo_gives_fresh_answers(self):
+        rng = random.Random(7)
+        for text in (T0_ETS, T1_ETS, _hash_seed_system()):
+            system = parse_system(text)
+            side = 1 << len(system.universe)
+            atoms = [Atom.from_masks(system.universe, rng.randrange(side),
+                                     rng.randrange(side), rng.randrange(side))
+                     for _ in range(60)]
+            atoms += [atom_over(system, [a], system.universe.names, [b])
+                      for a in system.universe.names for b in system.universe.names]
+            rng.shuffle(atoms)
+            for atom in atoms:
+                shared = check_atom_recall(system, atom)
+                fresh = check_atom_recall(parse_system(text), atom)
+                assert shared == fresh, atom
+                if fresh.witness is not None:
+                    assert list(shared.witness) == list(fresh.witness), atom
+
+    def test_verifier_does_not_read_the_memo(self):
+        system = parse_system(T1_ETS)
+        atom = atom_over(system, ["vd"], system.universe.names, ["vb"])
+        assert not check_atom_recall(system, atom).holds
+        # Poison: every expanded belief now claims that each instruction
+        # moves it nowhere, which wins at once.
+        memo = recall_engine._ROWS[system]
+        for key, rows in memo.items():
+            memo[key] = tuple([] for _ in rows)
+        poisoned = check_atom_recall(system, atom)
+        parked = Belief("vd", frozenset({"d"}))
+        assert poisoned == RecallDecision(True, {parked: "0"}, 1)
+        assert verify_recall_witness(system, atom, poisoned.witness) == [
+            "witness instruction dead-ends at Belief(vd, {d})"]
+
+    def test_memo_goes_with_its_system(self):
+        gc.collect()
+        before = len(recall_engine._ROWS)
+        system = parse_system(T0_ETS)
+        assert check_atom_recall(
+            system, atom_over(system, ["v3"], system.universe.names, ["v4"])).holds
+        assert len(recall_engine._ROWS[system]) > 0
+        assert len(recall_engine._ROWS) == before + 1
+        alive = weakref.ref(system)
+        del system
+        gc.collect()
+        assert alive() is None
+        assert len(recall_engine._ROWS) == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_winning_views_match_single_start_decisions(seed):
+    """One solve over every start view gives each view the verdict that
+    deciding it alone gives, including views no state observes."""
+    rng = random.Random(seed)
+    system = small_random_system(rng, max_views=4, max_states=5, density=0.3)
+    universe = system.universe
+    side = 1 << len(universe)
+    start, corridor, target = (rng.randrange(side), rng.randrange(side),
+                               rng.randrange(side))
+    copy = parse_system(render_system(system))
+    want = 0
+    for view in universe.names_of(start):
+        atom = Atom.from_masks(universe, universe.mask([view]), corridor, target)
+        if check_atom_recall(copy, atom).holds:
+            want |= universe.mask([view])
+    assert winning_views(system, start, corridor, target) == want
 
 
 def _hash_seed_system() -> str:
