@@ -1,11 +1,17 @@
 """Command-line front end.
 
+Each subcommand builds its answer once, as a --json report, a function
+giving its text lines, and its exit code; `run_cli` prints one of the two.
+
 Exit codes: 0 the question was answered; 1 the answer was negative and
---fail-on-false was given; 2 usage, parse, or validation errors; 3 an
-internal invariant violation (a checker contradicting itself, a fuzz
-violation, or a chain that fails its own certification) or any other
-internal failure, such as running out of memory on a system too large to
-explore, reported as one `navlog: internal error:` line on stderr.
+--fail-on-false was given; 2 usage, parse, or validation errors, including
+a file named by an argument that cannot be read or written; 3 an internal
+invariant violation (a checker contradicting itself, a fuzz violation, or a
+chain that fails its own certification) or any other internal failure, such
+as running out of memory on a system too large to explore, reported as one
+`navlog: internal error:` line on stderr and nothing on stdout.  A reader
+that closes stdout early (`navlog ... | head -1`) only cuts the answer
+short: nothing goes to stderr and the exit code is the command's own.
 """
 
 from __future__ import annotations
@@ -13,23 +19,23 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .amnesic import check_atom_amnesic, evaluate, navigability_table
-from .canonical import (CanonicalInstruction, build_canonical,
-                        canonical_instructions, gstar_chain, valid_views,
-                        verify_chain, verify_stage_conditions,
+from .canonical import (build_canonical, canonical_instructions, gstar_chain,
+                        valid_views, verify_chain, verify_stage_conditions,
                         verify_truth_lemma)
 from .core import (AmnesicStrategy, SystemValidationError, Universe,
                    UntilObjective, check_strategy)
 from .fixtures import FIXTURES
 from .fuzz import FuzzConfig, fuzz_soundness
-from .proof import UniverseTooLarge, explain, saturate
+from .proof import UniverseTooLarge, derives, explain, saturate
 from .recall import check_atom_recall
-from .syntax import (AtomNode, Formula, ParseError, as_atom, parse_formula,
+from .syntax import (Atom, AtomNode, ParseError, as_atom, parse_formula,
                      parse_system, render_formula, render_system)
 
 __all__ = ["REPORT_SCHEMA", "TABLE_SCHEMA", "run_cli", "main"]
@@ -73,13 +79,16 @@ TABLE_SCHEMA = {
     },
 }
 
+# A report value may be a function that builds it, called only for --json.
+Answer = Tuple[Optional[dict], Callable[[], Iterable[str]], int]
 
-def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
 
-
-def _load_system(path: str):
-    return parse_system(Path(path).read_text())
+def _file_lines(path: str):
+    """(number, text) of each line holding more than a '#' comment, cut off."""
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.split("#", 1)[0]
+        if line.strip():
+            yield number, line
 
 
 def _parse_assignment(spec: str) -> Dict[str, str]:
@@ -101,370 +110,286 @@ def _names_arg(text: str) -> List[str]:
     return [part for part in text.replace(",", " ").split() if part]
 
 
-def _require_atom(formula: Formula, what: str):
-    atom = as_atom(formula)
+def _text(atom: Atom) -> str:
+    return render_formula(AtomNode(atom))
+
+
+def _claim(text: str, universe: Universe, what: str) -> Tuple[Atom, str]:
+    """A bare claim parsed over `universe`, and its canonical text."""
+    atom = as_atom(parse_formula(text, universe))
     if atom is None:
-        raise ValueError(f"{what} must be a bare claim, not a compound formula")
-    return atom
+        raise ParseError(f"{what} must be a bare claim, not a compound formula")
+    return atom, _text(atom)
 
 
-def _theory(args) -> tuple[Universe, "object"]:
-    universe = Universe(_names_arg(args.views))
-    assumptions = []
-    for text in args.assume or ():
-        assumptions.append(_require_atom(parse_formula(text, universe), "an assumption"))
-    if args.theory:
-        for line in Path(args.theory).read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                assumptions.append(
-                    _require_atom(parse_formula(line, universe), "an assumption"))
-    closure = saturate(universe, assumptions, max_views=args.max_views)
-    return universe, closure
-
-
-def _witness_text(mapping: Dict[str, str]) -> str:
-    return " ".join(f"{view}→{instr}" for view, instr in mapping.items())
+def _views(universe: Universe, obj, *fields: str) -> dict:
+    """Each named view-mask attribute of `obj` as a list of view names."""
+    return {field: list(universe.names_of(getattr(obj, field))) for field in fields}
 
 
 def _set_text(names: Sequence[str]) -> str:
     return "{" + ",".join(names) + "}"
 
 
-def _recall_witness_obj(system, witness) -> List[dict]:
-    order = lambda bel: (system.universe.index(bel.view), sorted(bel.possible))
-    return [
-        {"view": bel.view, "possible": sorted(bel.possible),
-         "instruction": witness[bel]}
-        for bel in sorted(witness, key=order)
-    ]
+def _sets_text(row: dict, *fields: str) -> str:
+    return " ".join(f"{field}={_set_text(row[field])}" for field in fields)
 
 
-def _cmd_check(args) -> int:
-    system = _load_system(args.system)
-    atom = _require_atom(parse_formula(args.formula, system.universe), "check")
-    query = render_formula(AtomNode(atom))
+def _theory(args):
+    universe = Universe(_names_arg(args.views))
+    assumptions = [_claim(text, universe, "an assumption")[0]
+                   for text in args.assume or ()]
+    if args.theory:
+        for number, line in _file_lines(args.theory):
+            try:
+                assumptions.append(_claim(line, universe, "an assumption")[0])
+            except ParseError as e:
+                raise ParseError(f"{args.theory}: {e.message}", number, e.col) from None
+    return universe, saturate(universe, assumptions, max_views=args.max_views)
+
+
+def _verdict(args, started, query, holds, words, stats=None, witness=None,
+             counterexample=None, note=None, details=None) -> Answer:
+    """The answer of `check` and `eval`: a REPORT_SCHEMA report timed from `started`;
+    as text, the verdict in `words` (false, true), the note and `details`."""
+    stats = dict(stats or {}, elapsed_ms=round((time.perf_counter() - started) * 1000, 3))
+    report = {"query": query, "mode": args.mode, "holds": holds, "witness": witness,
+              "counterexample": counterexample, "stats": stats}
+    if note:
+        report["note"] = note
+
+    def text():
+        yield f"{query}: {words[holds]} [{args.mode}]"
+        if note:
+            yield f"note: {note}"
+        if details is not None:
+            yield from details()
+    return report, text, 1 if args.fail_on_false and not holds else 0
+
+
+def _cmd_check(args) -> Answer:
+    system = parse_system(Path(args.system).read_text())
+    atom, query = _claim(args.formula, system.universe, "check")
     started = time.perf_counter()
-    counterexample = None
-    note = None
+    witness = counterexample = note = None
     if args.strategy is not None:
         if args.mode != "amnesic":
             raise ValueError("--strategy applies to amnesic checking only")
         strategy = AmnesicStrategy.from_map(system, _parse_assignment(args.strategy))
         objective = UntilObjective(*atom.masks(system.universe))
         path = check_strategy(system, strategy, objective)
-        holds = path is None
-        witness_obj = strategy.as_map(system) if holds else None
+        holds, stats = path is None, {"strategies_examined": 1}
+        witness = strategy.as_map(system) if holds else None
         if path is not None:
-            counterexample = {"states": list(path.states),
-                              "loop_start": path.loop_start,
+            counterexample = {"states": list(path.states), "loop_start": path.loop_start,
                               "reason": path.reason}
-        stats = {"strategies_examined": 1}
     elif args.mode == "amnesic":
         decision = check_atom_amnesic(system, atom)
-        holds = decision.holds
-        witness_obj = decision.witness.as_map(system) if decision.witness else None
-        note = decision.note
+        holds, note = decision.holds, decision.note
         stats = {"strategies_examined": decision.strategies_examined}
+        witness = decision.witness.as_map(system) if decision.witness else None
     else:
         decision = check_atom_recall(system, atom)
-        holds = decision.holds
-        witness_obj = (_recall_witness_obj(system, decision.witness)
-                       if decision.witness is not None else None)
-        stats = {"beliefs_explored": decision.explored}
-    stats["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
+        holds, stats = decision.holds, {"beliefs_explored": decision.explored}
+        if decision.witness is not None:
+            beliefs = sorted(decision.witness, key=lambda bel: (
+                system.universe.index(bel.view), sorted(bel.possible)))
+            witness = [{"view": bel.view, "possible": sorted(bel.possible),
+                        "instruction": decision.witness[bel]} for bel in beliefs]
 
-    report = {"query": query, "mode": args.mode, "holds": holds,
-              "witness": witness_obj, "counterexample": counterexample,
-              "stats": stats}
-    if note:
-        report["note"] = note
-    if args.json:
-        _emit(report)
-    else:
-        print(f"{query}: {'HOLDS' if holds else 'FAILS'} [{args.mode}]")
-        if note:
-            print(f"note: {note}")
-        if args.witness:
-            _print_witness_details(args, holds, witness_obj, counterexample, stats)
-    return 1 if args.fail_on_false and not holds else 0
-
-
-def _print_witness_details(args, holds, witness_obj, counterexample, stats) -> None:
-    if holds and args.mode == "amnesic":
-        print("witness: " + _witness_text(witness_obj))
-    elif holds:
-        print("witness:")
-        for row in witness_obj:
-            possible = ",".join(row["possible"])
-            print(f"  {row['view']}{{{possible}}} → {row['instruction']}")
-    elif counterexample is not None:
-        states = " ".join(counterexample["states"])
-        tail = counterexample["reason"]
-        if counterexample["loop_start"] is not None:
-            tail += f", cycles back to {counterexample['states'][counterexample['loop_start']]}"
-        print(f"counterexample: {states} ({tail})")
-    elif args.mode == "amnesic":
-        print(f"no strategy works ({stats['strategies_examined']} assignment "
-              f"classes examined)")
-    else:
-        print("some initial belief cannot force the target")
+    def details():
+        if isinstance(witness, dict):
+            yield "witness: " + " ".join(f"{view}→{i}" for view, i in witness.items())
+        elif witness is not None:
+            yield "witness:"
+            yield from (f"  {row['view']}{_set_text(row['possible'])} → "
+                        f"{row['instruction']}" for row in witness)
+        elif counterexample is not None:
+            states, loop = counterexample["states"], counterexample["loop_start"]
+            tail = "" if loop is None else f", cycles back to {states[loop]}"
+            yield f"counterexample: {' '.join(states)} ({counterexample['reason']}{tail})"
+        elif args.mode == "amnesic":
+            yield (f"no strategy works ({stats['strategies_examined']} assignment "
+                   f"classes examined)")
+        else:
+            yield "some initial belief cannot force the target"
+    return _verdict(args, started, query, holds, ("FAILS", "HOLDS"), stats, witness,
+                    counterexample, note, details if args.witness else None)
 
 
-def _cmd_eval(args) -> int:
-    system = _load_system(args.system)
+def _cmd_eval(args) -> Answer:
+    system = parse_system(Path(args.system).read_text())
     formula = parse_formula(args.formula, system.universe)
+    query = render_formula(formula)
     started = time.perf_counter()
     holds = evaluate(system, formula, args.mode)
-    elapsed = round((time.perf_counter() - started) * 1000, 3)
-    query = render_formula(formula)
-    if args.json:
-        _emit({"query": query, "mode": args.mode, "holds": holds,
-               "witness": None, "counterexample": None,
-               "stats": {"elapsed_ms": elapsed}})
-    else:
-        print(f"{query}: {'true' if holds else 'false'} [{args.mode}]")
-    return 1 if args.fail_on_false and not holds else 0
+    return _verdict(args, started, query, holds, ("false", "true"))
 
 
-def _cmd_table(args) -> int:
-    system = _load_system(args.system)
+def _cmd_table(args) -> Answer:
+    system = parse_system(Path(args.system).read_text())
     classes = _names_arg(args.classes) if args.classes else list(system.universe.names)
     modes = tuple(_names_arg(args.modes))
     table = navigability_table(system, classes, modes)
-    if args.json:
-        grid = {row: dict(zip(table.classes, cells))
-                for row, cells in zip(table.classes, table.grid)}
-        _emit({"classes": list(table.classes), "modes": list(modes), "grid": grid})
-    else:
-        print(table.render())
-    return 0
+    grid = {row: dict(zip(table.classes, cells))
+            for row, cells in zip(table.classes, table.grid)}
+    report = {"classes": list(table.classes), "modes": list(modes), "grid": grid}
+    return report, lambda: [table.render()], 0
 
 
-def _cmd_saturate(args) -> int:
+def _cmd_saturate(args) -> Answer:
     universe, closure = _theory(args)
     atoms = closure.derived_atoms()
-    if args.json:
-        _emit({
-            "views": list(universe.names),
-            "assumptions": [render_formula(AtomNode(a))
-                            for a in closure.assumption_atoms()],
-            "derived_count": len(atoms),
-            "derived": [render_formula(AtomNode(a)) for a in atoms],
-        })
-        return 0
-    print("views: " + " ".join(universe.names))
-    print(f"assumptions ({len(closure.assumptions)}):")
-    for a in closure.assumption_atoms():
-        print("  " + render_formula(AtomNode(a)))
-    print(f"derived: {len(atoms)} atoms")
-    if args.list:
-        for a in atoms:
-            print("  " + render_formula(AtomNode(a)))
-    return 0
+    assumptions = [_text(a) for a in closure.assumption_atoms()]
+    report = {"views": list(universe.names), "assumptions": assumptions,
+              "derived_count": len(atoms), "derived": lambda: [_text(a) for a in atoms]}
+
+    def text():
+        yield "views: " + " ".join(universe.names)
+        yield f"assumptions ({len(assumptions)}):"
+        yield from ("  " + a for a in assumptions)
+        yield f"derived: {len(atoms)} atoms"
+        if args.list:
+            yield from ("  " + _text(a) for a in atoms)
+    return report, text, 0
 
 
-def _cmd_derive(args) -> int:
+def _cmd_derive(args) -> Answer:
     universe, closure = _theory(args)
-    atom = _require_atom(parse_formula(args.formula, universe), "derive")
-    key = atom.masks(universe)
-    derivable = key in closure.derived
-    query = render_formula(AtomNode(atom))
-    if args.json:
-        _emit({"query": query, "derivable": derivable})
-    else:
-        print(f"{query}: {'derivable' if derivable else 'not derivable'}")
-    return 1 if args.fail_on_false and not derivable else 0
+    atom, query = _claim(args.formula, universe, "derive")
+    derivable = derives(closure, atom)
+    verdict = "derivable" if derivable else "not derivable"
+    return ({"query": query, "derivable": derivable}, lambda: [f"{query}: {verdict}"],
+            1 if args.fail_on_false and not derivable else 0)
 
 
 def _tree_obj(tree) -> dict:
-    return {"atom": render_formula(AtomNode(tree.atom)), "rule": tree.rule,
+    return {"atom": _text(tree.atom), "rule": tree.rule,
             "premises": [_tree_obj(p) for p in tree.premises]}
 
 
-def _cmd_explain(args) -> int:
+def _cmd_explain(args) -> Answer:
     universe, closure = _theory(args)
-    atom = _require_atom(parse_formula(args.formula, universe), "explain")
-    query = render_formula(AtomNode(atom))
-    if atom.masks(universe) not in closure.derived:
-        if args.json:
-            _emit({"query": query, "derivable": False, "tree": None})
-        else:
-            print(f"{query}: not derivable from the assumptions")
-        return 1 if args.fail_on_false else 0
-    tree = explain(closure, atom)
-    if args.json:
-        _emit({"query": query, "derivable": True, "tree": _tree_obj(tree)})
-    else:
-        print(tree.render())
-    return 0
+    atom, query = _claim(args.formula, universe, "explain")
+    tree = explain(closure, atom) if derives(closure, atom) else None
+    report = {"query": query, "derivable": tree is not None,
+              "tree": None if tree is None else lambda: _tree_obj(tree)}
+    return (report, lambda: [f"{query}: not derivable from the assumptions"
+                             if tree is None else tree.render()],
+            1 if args.fail_on_false and tree is None else 0)
 
 
-def _instruction_rows(universe, instructions) -> List[dict]:
-    return [
-        {"label": f"i{k}",
-         "start": list(universe.names_of(ins.start)),
-         "transit": list(universe.names_of(ins.transit)),
-         "target": list(universe.names_of(ins.target))}
-        for k, ins in enumerate(instructions)
-    ]
-
-
-def _cmd_canonical(args) -> int:
+def _cmd_canonical(args) -> Answer:
     universe, closure = _theory(args)
-    instructions = canonical_instructions(closure)
+    rows = [{"label": f"i{k}", **_views(universe, ins, "start", "transit", "target")}
+            for k, ins in enumerate(canonical_instructions(closure))]
     system = build_canonical(closure)
     valid = valid_views(closure)
-    triples = system.transition_triples()
     if args.emit:
         header = "canonical system over views " + " ".join(universe.names)
         Path(args.emit).write_text(render_system(system, header=header))
-    verification = None
-    if args.verify:
-        report = verify_truth_lemma(closure)
-        verification = {
-            "atoms_checked": report.atoms_checked,
-            "exhaustive": report.exhaustive,
-            "mismatches": [
-                {"atom": render_formula(AtomNode(m.atom)),
-                 "derivable": m.derivable, "holds": m.holds}
-                for m in report.mismatches
-            ],
-            "ok": report.ok,
-        }
-    if args.json:
-        _emit({
-            "valid_views": list(valid),
-            "instructions": _instruction_rows(universe, instructions),
-            "states": len(system.states),
-            "transitions": len(triples),
-            "ets": render_system(system),
-            "emitted": args.emit,
-            "verification": verification,
-        })
-        return 3 if verification is not None and not verification["ok"] else 0
-    print("valid views: " + (" ".join(valid) if valid else "(none)"))
-    print(f"instructions: {len(instructions)}")
-    for row in _instruction_rows(universe, instructions):
-        print(f"  {row['label']}: start={_set_text(row['start'])} "
-              f"transit={_set_text(row['transit'])} "
-              f"target={_set_text(row['target'])}")
-    plain = len(valid)
-    print(f"states: {len(system.states)} ({plain} plain, "
-          f"{len(system.states) - plain} in progress)")
-    print(f"transitions: {len(triples)}")
-    if args.emit:
-        print(f"wrote {args.emit}")
-    if verification is not None:
-        kind = "exhaustive" if verification["exhaustive"] else "sampled"
-        print(f"derivability vs model truth: {verification['atoms_checked']} "
-              f"atoms ({kind}), {len(verification['mismatches'])} mismatches")
-        for m in verification["mismatches"]:
-            print(f"  MISMATCH {m['atom']}: derivable={m['derivable']} "
-                  f"holds={m['holds']}")
-        if not verification["ok"]:
-            return 3
-    return 0
+    report = {"valid_views": list(valid), "instructions": rows, "states": len(system.states),
+              "transitions": len(system.transition_triples()),
+              "ets": lambda: render_system(system), "emitted": args.emit,
+              "verification": None}
+    lemma = verify_truth_lemma(closure) if args.verify else None
+    if lemma is not None:
+        mismatches = [{"atom": _text(m.atom), "derivable": m.derivable, "holds": m.holds}
+                      for m in lemma.mismatches]
+        report["verification"] = {"atoms_checked": lemma.atoms_checked,
+                                  "exhaustive": lemma.exhaustive,
+                                  "mismatches": mismatches, "ok": lemma.ok}
+
+    def text():
+        yield "valid views: " + (" ".join(valid) if valid else "(none)")
+        yield f"instructions: {len(rows)}"
+        for row in rows:
+            yield f"  {row['label']}: " + _sets_text(row, "start", "transit", "target")
+        yield (f"states: {len(system.states)} ({len(valid)} plain, "
+               f"{len(system.states) - len(valid)} in progress)")
+        yield f"transitions: {report['transitions']}"
+        if args.emit:
+            yield f"wrote {args.emit}"
+        if lemma is not None:
+            kind = "exhaustive" if lemma.exhaustive else "sampled"
+            yield (f"derivability vs model truth: {lemma.atoms_checked} atoms ({kind}), "
+                   f"{len(mismatches)} mismatches")
+            for m in mismatches:
+                yield (f"  MISMATCH {m['atom']}: derivable={m['derivable']} "
+                       f"holds={m['holds']}")
+    return report, text, 3 if lemma is not None and not lemma.ok else 0
 
 
-def _cmd_gchain(args) -> int:
+def _cmd_gchain(args) -> Answer:
     universe, closure = _theory(args)
-    instructions = canonical_instructions(closure)
-    labels = {f"i{k}": ins for k, ins in enumerate(instructions)}
-    spec = " ".join(line.split("#", 1)[0]
-                    for line in Path(args.strategy).read_text().splitlines())
-    strategy: Dict[str, CanonicalInstruction] = {}
-    for view, label in _parse_assignment(spec).items():
-        if label not in labels:
-            raise ValueError(f"unknown instruction label {label!r} "
-                             f"(the theory admits {len(labels)} instructions)")
-        strategy[view] = labels[label]
-    corridor = _names_arg(args.corridor)
-    goal = _names_arg(args.goal)
-    chain = gstar_chain(closure, strategy, corridor, goal)
+    labels = {f"i{k}": ins for k, ins in enumerate(canonical_instructions(closure))}
+    spec = " ".join(line for _, line in _file_lines(args.strategy))
+    try:
+        strategy = {view: labels[label]
+                    for view, label in _parse_assignment(spec).items()}
+    except KeyError as e:
+        raise ValueError(f"unknown instruction label {e.args[0]!r} "
+                         f"(the theory admits {len(labels)} instructions)") from None
+    chain = gstar_chain(closure, strategy, _names_arg(args.corridor),
+                        _names_arg(args.goal))
     problems = (verify_chain(closure, chain)
                 + verify_stage_conditions(closure, strategy, chain))
-    position = {ins: f"i{k}" for k, ins in enumerate(instructions)}
-    stages = [
-        {"index": st.index, "instruction": position[st.instruction],
-         "start_gain": list(universe.names_of(st.start_gain)),
-         "transit_gain": list(universe.names_of(st.transit_gain)),
-         "covered": list(universe.names_of(st.covered)),
-         "carried": list(universe.names_of(st.carried))}
-        for st in chain.stages
-    ]
-    if args.json:
-        _emit({"corridor": list(universe.names_of(chain.corridor)),
-               "goal": list(universe.names_of(chain.goal)),
-               "stages": stages,
-               "covered": list(universe.names_of(chain.covered)),
-               "carried": list(universe.names_of(chain.carried)),
-               "certified": not problems,
-               "problems": problems})
-    else:
-        print(f"corridor: {_set_text(universe.names_of(chain.corridor))}  "
-              f"goal: {_set_text(universe.names_of(chain.goal))}")
+    position = {ins: label for label, ins in labels.items()}
+    gains = ("start_gain", "transit_gain", "covered", "carried")
+    stages = [{"index": st.index, "instruction": position[st.instruction],
+               **_views(universe, st, *gains)} for st in chain.stages]
+    report = {**_views(universe, chain, "corridor", "goal"), "stages": stages,
+              **_views(universe, chain, "covered", "carried"),
+              "certified": not problems, "problems": problems}
+
+    def text():
+        yield (f"corridor: {_set_text(report['corridor'])}  "
+               f"goal: {_set_text(report['goal'])}")
         for st in stages:
-            print(f"stage {st['index']}: {st['instruction']} "
-                  f"start_gain={_set_text(st['start_gain'])} "
-                  f"transit_gain={_set_text(st['transit_gain'])} "
-                  f"covered={_set_text(st['covered'])} "
-                  f"carried={_set_text(st['carried'])}")
-        print(f"covered: {_set_text(universe.names_of(chain.covered))}")
+            yield f"stage {st['index']}: {st['instruction']} " + _sets_text(st, *gains)
+        yield f"covered: {_set_text(report['covered'])}"
         if problems:
-            print("certification FAILED:")
-            for p in problems:
-                print("  " + p)
+            yield "certification FAILED:"
+            yield from ("  " + p for p in problems)
         else:
-            print(f"certified: {len(chain.stages)} stages, "
-                  f"{2 * len(chain.stages)} obligations discharged")
-    return 3 if problems else 0
+            yield (f"certified: {len(stages)} stages, "
+                   f"{2 * len(stages)} obligations discharged")
+    return report, text, 3 if problems else 0
 
 
-def _cmd_fuzz(args) -> int:
-    config = FuzzConfig(seed=args.seed, trials=args.trials,
-                        max_states=args.max_states, max_views=args.max_views,
-                        max_instructions=args.max_instructions,
+def _cmd_fuzz(args) -> Answer:
+    config = FuzzConfig(seed=args.seed, trials=args.trials, max_states=args.max_states,
+                        max_views=args.max_views, max_instructions=args.max_instructions,
                         density=args.density)
-    report = fuzz_soundness(config)
-    if args.json:
-        _emit({
-            "seed": config.seed, "trials": report.trials_run,
-            "checks": report.checks,
-            "violations": [
-                {"trial": v.trial, "prop": v.prop, "detail": v.detail,
-                 "system": v.system_text}
-                for v in report.violations
-            ],
-            "notes": list(report.notes),
-            "elapsed_s": round(report.elapsed_s, 3),
-        })
-    else:
-        print(f"trials: {report.trials_run} (seed {config.seed})")
-        for prop in sorted(report.checks):
-            print(f"  {prop}: {report.checks[prop]} checks")
-        for note in report.notes:
-            print(f"note: {note}")
-        if report.violations:
-            print(f"VIOLATIONS: {len(report.violations)}")
-            for v in report.violations:
-                print(f"  trial {v.trial} [{v.prop}] {v.detail}")
+    outcome = fuzz_soundness(config)
+    report = {"seed": config.seed, "trials": outcome.trials_run, "checks": outcome.checks,
+              "violations": [{"trial": v.trial, "prop": v.prop, "detail": v.detail,
+                              "system": v.system_text} for v in outcome.violations],
+              "notes": list(outcome.notes), "elapsed_s": round(outcome.elapsed_s, 3)}
+
+    def text():
+        yield f"trials: {outcome.trials_run} (seed {config.seed})"
+        for prop in sorted(outcome.checks):
+            yield f"  {prop}: {outcome.checks[prop]} checks"
+        yield from (f"note: {note}" for note in outcome.notes)
+        if outcome.violations:
+            yield f"VIOLATIONS: {len(outcome.violations)}"
+            yield from (f"  trial {v.trial} [{v.prop}] {v.detail}"
+                        for v in outcome.violations)
         else:
-            print("violations: 0")
-        print(f"elapsed: {report.elapsed_s:.1f}s")
-    return 3 if report.violations else 0
+            yield "violations: 0"
+        yield f"elapsed: {outcome.elapsed_s:.1f}s"
+    return report, text, 3 if outcome.violations else 0
 
 
-def _cmd_fixture(args) -> int:
+def _cmd_fixture(args) -> Answer:
     if args.name not in FIXTURES:
         raise ValueError(f"unknown fixture {args.name!r}; "
                          f"available: {', '.join(sorted(FIXTURES))}")
     text = FIXTURES[args.name]
     if args.out:
         Path(args.out).write_text(text)
-    else:
-        print(text, end="")
-    return 0
+    return None, list if args.out else text.splitlines, 0
 
 
 def _add_json(sub) -> None:
@@ -583,6 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -590,7 +516,10 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        report, text, code = args.func(args)
+        lines = ([json.dumps(report, indent=2, default=lambda build: build())]
+                 if getattr(args, "json", False) else text())
+        answer = "".join(f"{line}\n" for line in lines)
     except KeyError as e:
         print(f"navlog: error: {e.args[0]}", file=sys.stderr)
         return 2
@@ -601,10 +530,26 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as e:
         print(f"navlog: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    try:
+        sys.stdout.write(answer)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        pass    # the reader closed stdout; the rest of the answer is not wanted
+    except OSError as e:
+        print(f"navlog: error: {e}", file=sys.stderr)
+        return 2
+    return code
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    code = run_cli()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Interpreter exit flushes stdout once more; send what is left of
+        # the answer to devnull so that the closed pipe is not reported.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -30,13 +30,14 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Syntax problem in a formula or .ets description, with its position."""
+    """Syntax problem in a formula or .ets description: `message` plus its position."""
 
     def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
         place = ""
         if line is not None:
             place = f" at line {line}" + (f", column {col}" if col is not None else "")
         super().__init__(message + place)
+        self.message = message
         self.line = line
         self.col = col
 

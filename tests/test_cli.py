@@ -4,6 +4,7 @@ Everything goes through run_cli(argv) in process; JSON outputs are validated
 against the module's published schemas, not just spot-read.
 """
 
+import io
 import json
 import os
 import subprocess
@@ -145,14 +146,6 @@ class TestEval:
         code, out, err = run(capsys, "eval", t0_path, formula)
         assert code == 0 and err == ""
         assert out.endswith(f": {verdict} [amnesic]\n")
-
-    def test_internal_failure_exits_3(self, capsys, t0_path, monkeypatch):
-        def exhausted(*args):
-            raise MemoryError("out of memory")
-        monkeypatch.setattr("navlog.cli.evaluate", exhausted)
-        code, out, err = run(capsys, "eval", t0_path, "nav({v1}; ALL; {v6})")
-        assert code == 3 and out == ""
-        assert err == "navlog: internal error: MemoryError: out of memory\n"
 
 
 class TestTable:
@@ -312,6 +305,21 @@ class TestTheoryCommands:
                            "--assume", "nav({x}; {}; {y}) -> nav({y}; {}; {x})")
         assert code == 2 and "assumption" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("    nav({x}; {; {y})  # bad set",
+         "expected a view name, found ';' at line 4, column 15"),
+        ("  !nav({x}; {}; {y})",
+         "an assumption must be a bare claim, not a compound formula at line 4"),
+    ], ids=["syntax", "compound"])
+    def test_theory_file_error_names_the_file_line(self, capsys, tmp_path, line,
+                                                   message):
+        theory = tmp_path / "theory.txt"
+        theory.write_text(f"# assumptions\nnav({{x}}; {{}}; {{y}})\n\n{line}\n")
+        code, out, err = run(capsys, "saturate", "--views", "x,y",
+                             "--theory", str(theory))
+        assert code == 2 and out == ""
+        assert err == f"navlog: error: {theory}: {message}\n"
+
     def test_view_cap(self, capsys):
         code, _, err = run(capsys, "saturate", "--views", "a,b,c",
                            "--max-views", "2")
@@ -440,3 +448,46 @@ class TestFixtureCommand:
 
 def test_no_arguments_is_a_usage_error(capsys):
     assert run_cli([]) == 2
+
+
+@pytest.mark.parametrize("engine, argv", [
+    ("evaluate", ("eval", "T0", "nav({v1}; ALL; {v6})")),
+    ("saturate", ("saturate", "--views", "x,y", "--json")),
+    ("build_canonical", ("canonical", "--views", "x")),
+], ids=["eval", "saturate", "canonical"])
+def test_internal_failure_exits_3(capsys, t0_path, monkeypatch, engine, argv):
+    """An engine failure is one stderr line and leaves stdout empty."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError("out of memory")
+    monkeypatch.setattr(f"navlog.cli.{engine}", exhausted)
+    code, out, err = run(capsys, *(t0_path if a == "T0" else a for a in argv))
+    assert code == 3 and out == ""
+    assert err == "navlog: internal error: MemoryError: out of memory\n"
+
+
+def test_closed_stdout_is_not_an_error():
+    """`navlog ... | head -1`: the reader closes the pipe after one line of a
+    273 KB answer; the command still exits 0 and writes nothing to stderr."""
+    src = str(Path(navlog.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "navlog.cli", "saturate", "--views", "a,b,c,d,e",
+         "--json"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+def test_unwritable_stdout_is_a_usage_error(capsys, monkeypatch):
+    class FullDisk(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+    monkeypatch.setattr(sys, "stdout", FullDisk())
+    assert run_cli(["fixture", "t0"]) == 2
+    assert capsys.readouterr().err == "navlog: error: [Errno 28] No space left on device\n"
