@@ -83,17 +83,15 @@ def canonical_instructions(closure: Closure) -> tuple[CanonicalInstruction, ...]
     return tuple(out)
 
 
-def _labels(count: int) -> tuple[str, ...]:
-    return tuple(f"i{k}" for k in range(count))
-
-
 def build_canonical(closure: Closure) -> EpistemicTransitionSystem:
     """Concrete system over the closure's universe.
 
     Instruction k is named "i<k>", matching canonical_instructions(closure)
-    by position.  Plain states are named after their view; in-progress states
-    are named "<view>__<label>".  Invalid views keep no states (their classes
-    are empty), so atoms mentioning them stay checkable.
+    by position.  Plain state p is named after the p-th valid view and
+    observes it; state n + p*L + k (n valid views, L instructions) is that
+    view's in-progress state for instruction k, named "<view>__i<k>".
+    Invalid views keep no states (their classes are empty), so atoms
+    mentioning them stay checkable.
 
     Rejects hand-assembled closures that are not actually closed; the model
     construction is only meaningful over a fixpoint.
@@ -103,39 +101,34 @@ def build_canonical(closure: Closure) -> EpistemicTransitionSystem:
             "closure is not saturated: some rule application adds an atom")
     universe = closure.universe
     instrs = canonical_instructions(closure)
-    labels = _labels(len(instrs))
-    valid_names = universe.names_of(_valid_mask(closure))
-
-    states: list[tuple[str, str]] = [(v, v) for v in valid_names]
-    for v in valid_names:
-        for label in labels:
-            states.append((f"{v}__{label}", v))
-    names = [name for name, _ in states]
-    if len(set(names)) != len(names):
+    labels = tuple(f"i{k}" for k in range(len(instrs)))
+    valid = _valid_mask(closure)
+    views = [v for v in range(len(universe)) if valid >> v & 1]
+    n, count = len(views), len(instrs)
+    states = tuple(universe.names[v] for v in views) + tuple(
+        f"{universe.names[v]}__{label}" for v in views for label in labels)
+    if len(set(states)) != len(states):
         raise ValueError(
             "canonical state names collide; avoid view names ending in __i<k>")
+    view_of = tuple(views) + tuple(v for v in views for _ in labels)
 
-    transitions: list[tuple[str, str, str]] = []
+    succ = [[()] * count for _ in states]
     for k, ins in enumerate(instrs):
-        label = labels[k]
-        a_names = universe.names_of(ins.start)
-        ab_names = universe.names_of(ins.start | ins.transit)
-        c_names = universe.names_of(ins.target)
-        start_observers = list(a_names) + [
-            f"{v}__{other}" for v in a_names for other in labels]
-        fresh_observers = list(a_names) + [
-            f"{v}__{other}" for v in a_names for other in labels if other != label]
-        band = [f"{u}__{label}" for u in ab_names]
-        for src in start_observers:
-            for c in c_names:
-                transitions.append((src, label, c))
-        for src in fresh_observers:
-            for dst in band:
-                transitions.append((src, label, dst))
-        for src in band:
-            for c in c_names:
-                transitions.append((src, label, c))
-    return EpistemicTransitionSystem.build(universe.names, labels, states, transitions)
+        # Start-view states move straight to the targets or into the band,
+        # the instruction's in-progress states on start|transit views; a
+        # band state drains to the targets, even on a start view.
+        goal = tuple(p for p, v in enumerate(views) if ins.target >> v & 1)
+        band = tuple(n + p * count + k for p, v in enumerate(views)
+                     if (ins.start | ins.transit) >> v & 1)
+        onward = goal + band
+        for p, v in enumerate(views):
+            if ins.start >> v & 1:
+                for s in (p, *range(n + p * count, n + (p + 1) * count)):
+                    succ[s][k] = onward
+        for s in band:
+            succ[s][k] = goal
+    return EpistemicTransitionSystem(universe, labels, states, view_of,
+                                     tuple(map(tuple, succ)))
 
 
 @dataclass(frozen=True)
@@ -244,6 +237,25 @@ def _selection_masks(closure: Closure, strategy: Mapping[str, CanonicalInstructi
     return sel
 
 
+def _unmet(ins: CanonicalInstruction, chosen: int, covered: int,
+           budget: int) -> list[str]:
+    """Conditions (a)-(e) an instruction fails as the next stage, given the
+    views `chosen` whose strategy picks it, the views covered so far and the
+    `budget` corridor|goal."""
+    unmet = []
+    if (ins.start | ins.transit) & ~budget:
+        unmet.append("strays outside corridor|goal")
+    if not ins.start & chosen & ~covered:
+        unmet.append("gains no new start view")
+    if (ins.start & ~chosen) & ~covered:
+        unmet.append("an uncovered start view defects")
+    if (ins.transit & ~chosen) & ~covered:
+        unmet.append("an uncovered transit view defects")
+    if ins.target & ~covered:
+        unmet.append("target not yet covered")
+    return unmet
+
+
 def gstar_chain(closure: Closure, strategy: Mapping[str, CanonicalInstruction],
                 corridor: Iterable[str], goal: Iterable[str]) -> GChain:
     """Grow the set of views certified to reach `goal` under one strategy.
@@ -271,24 +283,11 @@ def gstar_chain(closure: Closure, strategy: Mapping[str, CanonicalInstruction],
     carried = 0
     stages: list[GStage] = []
     while True:
-        found = None
-        for k, ins in enumerate(instrs):
-            if (ins.start | ins.transit) & ~budget:
-                continue
-            choosing = ins.start & sel[k]
-            if not choosing & ~covered:
-                continue
-            if (ins.start & ~sel[k]) & ~covered:
-                continue
-            if (ins.transit & ~sel[k]) & ~covered:
-                continue
-            if ins.target & ~covered:
-                continue
-            found = (k, ins)
-            break
-        if found is None:
+        k = next((k for k, ins in enumerate(instrs)
+                  if not _unmet(ins, sel[k], covered, budget)), None)
+        if k is None:
             return GChain(corridor_mask, goal_mask, tuple(stages))
-        k, ins = found
+        ins = instrs[k]
         start_gain = ins.start & sel[k]
         transit_gain = ins.transit & sel[k]
         covered |= start_gain
@@ -334,18 +333,10 @@ def verify_stage_conditions(closure: Closure,
             problems.append(f"stage {st.index}: instruction is not canonical")
             continue
         ins = st.instruction
-        if (ins.start | ins.transit) & ~budget:
-            problems.append(f"stage {st.index}: strays outside corridor|goal")
-        choosing = ins.start & sel[k]
-        if not choosing & ~covered:
-            problems.append(f"stage {st.index}: gains no new start view")
-        if (ins.start & ~sel[k]) & ~covered:
-            problems.append(f"stage {st.index}: an uncovered start view defects")
-        if (ins.transit & ~sel[k]) & ~covered:
-            problems.append(f"stage {st.index}: an uncovered transit view defects")
-        if ins.target & ~covered:
-            problems.append(f"stage {st.index}: target not yet covered")
-        if st.start_gain != choosing or st.transit_gain != ins.transit & sel[k]:
+        problems.extend(f"stage {st.index}: {condition}"
+                        for condition in _unmet(ins, sel[k], covered, budget))
+        if (st.start_gain != ins.start & sel[k]
+                or st.transit_gain != ins.transit & sel[k]):
             problems.append(f"stage {st.index}: recorded gains are wrong")
         covered |= st.start_gain
         carried |= st.transit_gain

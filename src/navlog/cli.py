@@ -239,18 +239,18 @@ def _cmd_table(args) -> Answer:
 
 def _cmd_saturate(args) -> Answer:
     universe, closure = _theory(args)
-    atoms = closure.derived_atoms()
     assumptions = [_text(a) for a in closure.assumption_atoms()]
     report = {"views": list(universe.names), "assumptions": assumptions,
-              "derived_count": len(atoms), "derived": lambda: [_text(a) for a in atoms]}
+              "derived_count": len(closure.derived),
+              "derived": lambda: [_text(a) for a in closure.derived_atoms()]}
 
     def text():
         yield "views: " + " ".join(universe.names)
         yield f"assumptions ({len(assumptions)}):"
         yield from ("  " + a for a in assumptions)
-        yield f"derived: {len(atoms)} atoms"
+        yield f"derived: {len(closure.derived)} atoms"
         if args.list:
-            yield from ("  " + _text(a) for a in atoms)
+            yield from ("  " + _text(a) for a in closure.derived_atoms())
     return report, text, 0
 
 
@@ -289,7 +289,7 @@ def _cmd_canonical(args) -> Answer:
         header = "canonical system over views " + " ".join(universe.names)
         Path(args.emit).write_text(render_system(system, header=header))
     report = {"valid_views": list(valid), "instructions": rows, "states": len(system.states),
-              "transitions": len(system.transition_triples()),
+              "transitions": sum(len(cell) for row in system.succ for cell in row),
               "ets": lambda: render_system(system), "emitted": args.emit,
               "verification": None}
     lemma = verify_truth_lemma(closure) if args.verify else None

@@ -49,6 +49,8 @@ class Universe:
         self.names: tuple[str, ...] = tuple(names)
         self._index: dict[str, int] = {}
         for k, name in enumerate(self.names):
+            if not _IDENT.match(name):
+                raise SystemValidationError([f"bad view identifier {name!r}"])
             if name in self._index:
                 raise SystemValidationError([f"duplicate view {name!r}"])
             self._index[name] = k
@@ -110,8 +112,10 @@ class RawSystem:
 class EpistemicTransitionSystem:
     """Validated system with interned states, views and instructions.
 
-    Construct through `validate_system` or the `build` convenience wrapper;
-    `__init__` trusts its arguments.
+    `__init__` takes the integer tables below and trusts them: navlog's own
+    builders (the canonical model, the fuzz generator) call it directly.
+    Descriptions from outside the program go through `validate_system`, or
+    the `build` wrapper over names, which check them first.
 
     The integer tables the engines run on are public and read-only, indexed
     by declaration order: `view_of[s]` is the view index state s observes,

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from .amnesic import AmnesicDecision, decide_amnesic
-from .core import (AmnesicStrategy, EpistemicTransitionSystem, UntilObjective,
-                   check_strategy)
+from .core import (AmnesicStrategy, EpistemicTransitionSystem, Universe,
+                   UntilObjective, check_strategy)
 from .fixtures import T0_ETS, load_t0
 from .proof import (AUGMENTATION, REFLEXIVITY, TRANSITIVITY, TRIM_CORRIDOR,
                     Key, rule_steps)
@@ -84,16 +84,15 @@ def _random_system(rng: random.Random, config: FuzzConfig) -> EpistemicTransitio
     n_views = rng.randint(1, config.max_views)
     n_instructions = rng.randint(1, config.max_instructions)
     n_states = rng.randint(1, config.max_states)
-    views = tuple(f"v{k}" for k in range(n_views))
-    instructions = tuple(str(i) for i in range(n_instructions))
-    states = [(f"s{j}", views[rng.randrange(n_views)]) for j in range(n_states)]
-    transitions = []
-    for j in range(n_states):
-        for instr in instructions:
-            for t in range(n_states):
-                if rng.random() < config.density:
-                    transitions.append((f"s{j}", instr, f"s{t}"))
-    return EpistemicTransitionSystem.build(views, instructions, states, transitions)
+    view_of = tuple(rng.randrange(n_views) for _ in range(n_states))
+    succ = tuple(
+        tuple(tuple(t for t in range(n_states) if rng.random() < config.density)
+              for _ in range(n_instructions))
+        for _ in range(n_states))
+    return EpistemicTransitionSystem(
+        Universe(f"v{k}" for k in range(n_views)),
+        tuple(str(i) for i in range(n_instructions)),
+        tuple(f"s{j}" for j in range(n_states)), view_of, succ)
 
 
 def generate_random_system(config: FuzzConfig, trial: int) -> EpistemicTransitionSystem:

@@ -4,6 +4,7 @@ import pytest
 
 from navlog.core import EpistemicTransitionSystem
 from navlog.fixtures import load_t0, load_t1
+from navlog.syntax import parse_system, render_system
 
 # Pairwise navigability of the eight-state fixture over its six view classes,
 # corridor unrestricted: rows are start classes, columns target classes;
@@ -34,7 +35,9 @@ def small_random_system(rng: random.Random, max_views: int = 3,
     """Tiny independent generator for property tests.
 
     Deliberately not navlog.fuzz.generate_random_system, so tests of that
-    function have something to disagree with.
+    function have something to disagree with: it draws its numbers in the
+    same order and builds through the validator, so from the same random
+    source the two must build equal systems.
     """
     n_views = rng.randint(1, max_views)
     views = tuple(f"v{k}" for k in range(n_views))
@@ -48,6 +51,28 @@ def small_random_system(rng: random.Random, max_views: int = 3,
                 if rng.random() < density:
                     transitions.append((name, instr, other))
     return EpistemicTransitionSystem.build(views, instructions, states, transitions)
+
+
+def assert_well_formed(system: EpistemicTransitionSystem) -> None:
+    """The table invariants `validate_system` establishes, for a system
+    built without it: in-range views, one row per state and one cell per
+    instruction, every cell a strictly increasing tuple of in-range states,
+    and .ets text that parses back to the same tables."""
+    n = len(system.states)
+    assert len(system.view_of) == len(system.succ) == n
+    assert all(0 <= v < len(system.universe) for v in system.view_of)
+    for row in system.succ:
+        assert isinstance(row, tuple) and len(row) == len(system.instructions)
+        for cell in row:
+            assert isinstance(cell, tuple)
+            assert all(a < b for a, b in zip(cell, cell[1:]))
+            assert all(0 <= t < n for t in cell)
+    again = parse_system(render_system(system))
+    assert again.universe == system.universe
+    assert again.instructions == system.instructions
+    assert again.states == system.states
+    assert again.view_of == system.view_of
+    assert again.succ == system.succ
 
 
 def two_way_chain(n: int) -> EpistemicTransitionSystem:

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_well_formed
+
 from navlog.canonical import (CanonicalInstruction, build_canonical,
                               canonical_instructions, gstar_chain,
                               valid_views, verify_chain,
@@ -100,12 +102,11 @@ def _state_view_and_tag(name):
     return name, None
 
 
-def _edge_expected(universe, ins, label, src, dst):
-    """Membership test for one canonical edge, stated over a single pair."""
-    src_view, src_tag = _state_view_and_tag(src)
-    dst_view, dst_tag = _state_view_and_tag(dst)
-    src_bit = universe.mask([src_view])
-    dst_bit = universe.mask([dst_view])
+def _edge_expected(ins, label, src, dst):
+    """Membership test for one canonical edge, stated over a single pair of
+    states given as (view bit, tag)."""
+    src_bit, src_tag = src
+    dst_bit, dst_tag = dst
     if src_bit & ins.start and dst_tag is None and dst_bit & ins.target:
         return True
     if (src_bit & ins.start and src_tag != label and dst_tag == label
@@ -115,6 +116,16 @@ def _edge_expected(universe, ins, label, src, dst):
             and dst_tag is None and dst_bit & ins.target):
         return True
     return False
+
+
+def _closure(assume):
+    """XYZ's closure of one assumed atom (None: of nothing), or for an int,
+    a seeded random closure over 1-4 views."""
+    if isinstance(assume, int):
+        n = 1 + assume % 4
+        return random_closure(random.Random(assume),
+                              Universe(f"v{k}" for k in range(n)))
+    return saturate(XYZ, [atom(XYZ, *assume)] if assume else [])
 
 
 class TestBuild:
@@ -140,19 +151,33 @@ class TestBuild:
             assert system.observation(state) == view
             assert view in valid
 
-    @pytest.mark.parametrize("assume", [None, (["x"], ["x", "y"], ["z"])])
+    @pytest.mark.parametrize("assume", [None, (["x"], ["x", "y"], ["z"]),
+                                        *range(12)])
     def test_transitions_match_the_pairwise_predicate(self, assume):
-        assumptions = [atom(XYZ, *assume)] if assume else []
-        clo = saturate(XYZ, assumptions)
+        clo = _closure(assume)
+        universe = clo.universe
         system = build_canonical(clo)
         instrs = canonical_instructions(clo)
+        valid = valid_views(clo)
+        labels = [f"i{k}" for k in range(len(instrs))]
+        assert system.instructions == tuple(labels)
+        assert system.states == valid + tuple(
+            f"{v}__{label}" for v in valid for label in labels)
+        views = [_state_view_and_tag(state) for state in system.states]
+        assert system.view_of == tuple(universe.index(v) for v, _ in views)
+        assert_well_formed(system)
+        parsed = [(universe.mask([v]), tag) for v, tag in views]
         expected = set()
         for k, ins in enumerate(instrs):
-            label = f"i{k}"
-            for src in system.states:
-                for dst in system.states:
-                    if _edge_expected(XYZ, ins, label, src, dst):
-                        expected.add((src, label, dst))
+            for a, src in enumerate(parsed):
+                # every clause needs a start-view source or one of the
+                # instruction's own in-progress states
+                if not (src[0] & ins.start or src[1] == labels[k]):
+                    continue
+                for b, dst in enumerate(parsed):
+                    if _edge_expected(ins, labels[k], src, dst):
+                        expected.add((system.states[a], labels[k],
+                                      system.states[b]))
         assert set(system.transition_triples()) == expected
 
     def test_rejects_unclosed_hand_assembled_closure(self):

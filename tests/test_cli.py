@@ -325,6 +325,12 @@ class TestTheoryCommands:
                            "--max-views", "2")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("command", ["saturate", "canonical"])
+    def test_non_identifier_view_is_a_usage_error(self, capsys, command):
+        code, out, err = run(capsys, command, "--views", "a-b,c")
+        assert (code, out) == (2, "")
+        assert err == "navlog: error: bad view identifier 'a-b'\n"
+
 
 CANON = ("--views", "x,y,z", "--assume", "nav({x}; {x,y}; {z})")
 

@@ -44,6 +44,11 @@ class TestUniverse:
         with pytest.raises(KeyError):
             Universe(("a",)).index("b")
 
+    def test_rejects_a_non_identifier_name(self):
+        with pytest.raises(SystemValidationError) as exc:
+            Universe(("c", "a-b"))
+        assert exc.value.problems == ["bad view identifier 'a-b'"]
+
 
 class TestValidation:
     def test_all_problems_collected(self):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from conftest import assert_well_formed, small_random_system
+
 from navlog import fuzz
 from navlog.fuzz import FuzzConfig, fuzz_soundness, generate_random_system
 from navlog.proof import TRANSITIVITY
@@ -50,6 +52,20 @@ class TestGenerator:
             assert 1 <= len(system.states) <= 3
             assert 1 <= len(system.universe) <= 2
             assert len(system.instructions) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tables_match_the_validated_twin(self, seed):
+        config = FuzzConfig(seed=seed, max_states=5, max_views=3,
+                            max_instructions=2, density=0.4)
+        for trial in range(80):
+            system = generate_random_system(config, trial)
+            assert_well_formed(system)
+            twin = small_random_system(fuzz._trial_rng(seed, trial), 3, 2, 5, 0.4)
+            assert system.universe == twin.universe
+            assert system.instructions == twin.instructions
+            assert system.states == twin.states
+            assert system.view_of == twin.view_of
+            assert system.succ == twin.succ
 
     def test_density_zero_means_everything_halts(self):
         config = FuzzConfig(seed=4, density=0.0)
