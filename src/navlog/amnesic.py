@@ -20,6 +20,11 @@ The witness reported is the lexicographically least one.  Minimisation fixes
 views in declaration order and keeps the last successful assignment: a view
 it never consults takes instruction 0 unsearched, and a consulted view is
 searched only below its current choice, which the assignment proves workable.
+It keeps one spine, a walk of the explorer under the views fixed so far,
+paused where it first meets a view not yet fixed.  Every trial resumes the
+search from the spine's position and is undone afterwards, and the spine
+walks on once the view it is paused at is fixed, so no trial repeats the
+walk up to a view: a two-way chain is minimised in linear time.
 """
 
 from __future__ import annotations
@@ -55,7 +60,10 @@ class AmnesicDecision:
 
 
 def _search(system: EpistemicTransitionSystem, roots: list[int], corridor: int,
-            target: int, sigma: list[Optional[int]]) -> tuple[bool, int]:
+            target: int, sigma: list[Optional[int]],
+            status: Optional[list[int]] = None, trail: Optional[list[int]] = None,
+            top: Optional[tuple] = None, i: int = 0
+            ) -> tuple[bool, int, Optional[tuple]]:
     """Complete the partial strategy `sigma` in place, if it can be done.
 
     One resumable walk of the explorer, backtracking over an explicit stack
@@ -68,16 +76,26 @@ def _search(system: EpistemicTransitionSystem, roots: list[int], corridor: int,
     path marks move from the current path to the frame's, and the walk
     resumes from the frame's position, never from the roots.  A frame holds
     only the path's last node, and saved paths share their prefixes, so a
-    frame costs O(1).  Returns whether an extension succeeds (left in
-    `sigma`; otherwise `sigma` is restored) and the number of partial
-    assignments that reached a definite verdict.
+    frame costs O(1).
+
+    The walk starts from the roots with fresh marks, or, given `status`,
+    `trail`, `top` and `i`, from that position of an `explore` walk under
+    `sigma`: the marks are used and updated in place, and the search ends as
+    if it had walked there from the roots itself.  Returns whether an
+    extension succeeds (left in `sigma`; otherwise `sigma` is restored), the
+    number of partial assignments that reached a definite verdict, and the
+    node where the walk's path ends, whose states hold the path marks (None
+    on success, the last counterexample's on failure).  Safe marks trailed
+    after the start may remain; a caller that resumes the same marks
+    elsewhere resets them and moves the path marks back with `move_path`.
     """
     n_instructions = len(system.instructions)
-    status = [UNSEEN] * len(system.states)
-    trail: list[int] = []
+    if status is None:
+        status, trail = [UNSEEN] * len(system.states), []
     frames: list[list] = []
     examined = 0
-    found, top, i = explore(system, sigma, corridor, target, roots, status, trail)
+    found, top, i = explore(system, sigma, corridor, target, roots, status,
+                            trail, top, i)
     while found is not None:
         if isinstance(found, int):
             frames.append([found, 0, len(trail), top, i])
@@ -96,12 +114,12 @@ def _search(system: EpistemicTransitionSystem, roots: list[int], corridor: int,
                 sigma[view] = None
                 frames.pop()
             else:
-                return False, examined
+                return False, examined, top
             move_path(status, top, saved)
             top, i = saved, j
         found, top, i = explore(system, sigma, corridor, target, roots,
                                 status, trail, top, i)
-    return True, examined + 1
+    return True, examined + 1, top
 
 
 def decide_amnesic(system: EpistemicTransitionSystem, objective: UntilObjective,
@@ -113,8 +131,20 @@ def decide_amnesic(system: EpistemicTransitionSystem, objective: UntilObjective,
     found by fixing each view in turn to its least workable instruction;
     views the objective never consults end up with instruction index 0.
     Each view starts from the last successful assignment, so only the
-    instructions below its current choice are searched again (none for a
-    view that assignment never consults).
+    instructions below its current choice are tried (none for a view that
+    assignment never consults).
+    Trials do not start from the roots.  A spine walk under the views fixed
+    so far (later views free) pauses at the first view it meets that is not
+    fixed.  Each trial sets the view being fixed and resumes the search from
+    the spine's position, sharing its marks; afterwards the trial's safe
+    marks are reset and the path marks moved back to the spine's path.
+    Once the view the spine is paused at is fixed, the spine walks on.  The
+    spine consults only fixed views, so a trial from the roots reaches its
+    position in the same state, whether the spine is paused at the view
+    being fixed or at a later one (or has finished: every run then verifies
+    and the trial succeeds at once).  Trials therefore meet the same
+    counterexamples in the same order as trials from the roots, and the
+    witness and `strategies_examined` are theirs.
     Passing False skips that minimization and reports the raw assignment the
     search found first (still a valid witness) -- useful in bulk sweeps where
     only the verdict matters.  No results are cached across atoms.
@@ -122,24 +152,41 @@ def decide_amnesic(system: EpistemicTransitionSystem, objective: UntilObjective,
     corridor, target = objective.corridor, objective.target
     roots = [k for k, m in enumerate(system.view_bit) if m & objective.start]
     note = None if roots else "no state observes a start view; holds vacuously"
-    sigma: list[Optional[int]] = [None] * len(system.universe)
-    holds, examined = _search(system, roots, corridor, target, sigma)
+    n_views = len(system.universe)
+    sigma: list[Optional[int]] = [None] * n_views
+    holds, examined, _ = _search(system, roots, corridor, target, sigma)
     if not holds:
         return AmnesicDecision(False, None, examined)
     if canonical_witness:
-        # Invariant: `sigma` succeeds, and its views before v are final.
-        for v in range(len(sigma)):
-            if sigma[v] is None:
-                sigma[v] = 0
-                continue
-            for i in range(sigma[v]):
-                trial = sigma[:v] + [i] + [None] * (len(sigma) - v - 1)
-                holds, more = _search(system, roots, corridor, target, trial)
+        # Invariant: `sigma` succeeds and agrees with `fixed` before v;
+        # `fixed` leaves v and later views free.  The spine walks under
+        # `fixed` and is paused at (top, i), meeting view `paused`.
+        fixed: list[Optional[int]] = [None] * n_views
+        status, trail = [UNSEEN] * len(system.states), []
+        paused, top, i = explore(system, fixed, corridor, target, roots,
+                                 status, trail)
+        for v in range(n_views):
+            mark = len(trail)
+            for c in range(sigma[v] or 0):  # unassigned: 0, unsearched
+                fixed[v] = c
+                holds, more, end = _search(system, roots, corridor, target,
+                                           fixed, status, trail, top, i)
                 examined += more
-                if holds:
-                    sigma = trial
+                # Undo the trial: back to the spine's marks.
+                for state in trail[mark:]:
+                    status[state] = UNSEEN
+                del trail[mark:]
+                move_path(status, end, top)
+                if holds:  # its completion is the new solution in hand
+                    sigma[v + 1:] = fixed[v + 1:]
+                    fixed[v + 1:] = [None] * (n_views - v - 1)
+                    sigma[v] = c
                     break
-    choices = tuple(0 if i is None else i for i in sigma)
+            fixed[v] = sigma[v] = sigma[v] or 0
+            if paused == v:
+                paused, top, i = explore(system, fixed, corridor, target,
+                                         roots, status, trail, top, i)
+    choices = tuple(0 if c is None else c for c in sigma)
     return AmnesicDecision(True, AmnesicStrategy(choices), examined, note)
 
 

@@ -150,18 +150,23 @@ class TruthLemmaReport:
 
 
 def verify_truth_lemma(closure: Closure, exhaustive: Optional[bool] = None,
-                       samples: int = 500, seed: int = 0) -> TruthLemmaReport:
+                       samples: int = 500, seed: int = 0,
+                       system: Optional[EpistemicTransitionSystem] = None
+                       ) -> TruthLemmaReport:
     """Compare derivability against model truth on the built system.
 
     Exhaustive over all (2^|V|)^3 atoms when |V| <= 3 (or when forced);
     otherwise a seeded sample of `samples` draws (deduplicated).  Any
-    mismatch in either direction is reported.
+    mismatch in either direction is reported.  `system` is
+    `build_canonical(closure)` when the caller has built it already;
+    otherwise it is built here.
     """
     universe = closure.universe
     n = len(universe)
     if exhaustive is None:
         exhaustive = n <= 3
-    system = build_canonical(closure)
+    if system is None:
+        system = build_canonical(closure)
     side = 1 << n
     keys: list[Key]
     if exhaustive:

@@ -292,7 +292,7 @@ def _cmd_canonical(args) -> Answer:
               "transitions": sum(len(cell) for row in system.succ for cell in row),
               "ets": lambda: render_system(system), "emitted": args.emit,
               "verification": None}
-    lemma = verify_truth_lemma(closure) if args.verify else None
+    lemma = verify_truth_lemma(closure, system=system) if args.verify else None
     if lemma is not None:
         mismatches = [{"atom": _text(m.atom), "derivable": m.derivable, "holds": m.holds}
                       for m in lemma.mismatches]

@@ -5,7 +5,10 @@ set-based reachability plus Kahn's algorithm, not by the engines' pruned
 depth-first search; navigability is decided by enumerating every total
 strategy; saturation is redone by whole rounds.  Keep this module independent
 of navlog.amnesic, navlog.core.check_strategy and navlog.proof so a shared bug
-cannot hide behind agreement.
+cannot hide behind agreement.  The one exception is the slow twin of
+lex-least minimisation, which reuses the amnesic search on purpose: the
+search is checked against enumeration elsewhere, and what the twin checks is
+that resuming each trial where the walk paused changes nothing.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Mapping, Optional, Set
 
-from navlog.core import EpistemicTransitionSystem
+from navlog.amnesic import _search
+from navlog.core import EpistemicTransitionSystem, UntilObjective
 from navlog.syntax import Atom
 
 
@@ -89,6 +93,38 @@ def find_witness_by_enumeration(system: EpistemicTransitionSystem,
 
 def holds_by_enumeration(system: EpistemicTransitionSystem, atom: Atom) -> bool:
     return find_witness_by_enumeration(system, atom) is not None
+
+
+def lex_least_by_trials_from_roots(system: EpistemicTransitionSystem,
+                                   objective: UntilObjective) -> tuple:
+    """(holds, witness choices, strategies_examined, note) of
+    `decide_amnesic` with the lex-least witness, every minimisation trial a
+    fresh search from the roots on a copy of the assignment.
+
+    Views are fixed in declaration order, starting from the last successful
+    assignment: a view it leaves unassigned takes instruction 0 unsearched,
+    and an assigned view tries only the instructions below its choice, the
+    later views free; the first trial that succeeds becomes the assignment.
+    """
+    corridor, target = objective.corridor, objective.target
+    roots = [k for k, m in enumerate(system.view_bit) if m & objective.start]
+    note = None if roots else "no state observes a start view; holds vacuously"
+    sigma: list = [None] * len(system.universe)
+    holds, examined, _ = _search(system, roots, corridor, target, sigma)
+    if not holds:
+        return False, None, examined, None
+    for v in range(len(sigma)):
+        if sigma[v] is None:
+            sigma[v] = 0
+            continue
+        for i in range(sigma[v]):
+            trial = sigma[:v] + [i] + [None] * (len(sigma) - v - 1)
+            holds, more, _ = _search(system, roots, corridor, target, trial)
+            examined += more
+            if holds:
+                sigma = trial
+                break
+    return True, tuple(sigma), examined, note
 
 
 def closure_by_rounds(n_views: int, assumptions) -> Set[tuple]:

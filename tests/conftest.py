@@ -75,10 +75,12 @@ def assert_well_formed(system: EpistemicTransitionSystem) -> None:
     assert again.succ == system.succ
 
 
-def two_way_chain(n: int) -> EpistemicTransitionSystem:
-    """States s0..s(n-1), sk observing vk; instruction 0 steps back, 1 forward."""
+def two_way_chain(n: int, order=None) -> EpistemicTransitionSystem:
+    """States s0..s(n-1), sk observing v(order[k]), vk by default;
+    instruction 0 steps back, 1 forward."""
     views = tuple(f"v{k}" for k in range(n))
-    states = [(f"s{k}", f"v{k}") for k in range(n)]
+    order = range(n) if order is None else order
+    states = [(f"s{k}", f"v{order[k]}") for k in range(n)]
     transitions = [(f"s{k}", "1", f"s{k + 1}") for k in range(n - 1)]
     transitions += [(f"s{k}", "0", f"s{k - 1}") for k in range(1, n)]
     return EpistemicTransitionSystem.build(views, ("0", "1"), states, transitions)

@@ -364,6 +364,21 @@ class TestCanonical:
         labels = [row["label"] for row in report["instructions"]]
         assert labels == [f"i{k}" for k in range(len(labels))]
 
+    def test_verify_builds_the_model_once(self, capsys, monkeypatch):
+        """The truth-lemma check runs on the model the command built."""
+        from navlog.canonical import build_canonical
+        built = []
+
+        def counted(closure):
+            built.append(build_canonical(closure))
+            return built[-1]
+        monkeypatch.setattr("navlog.cli.build_canonical", counted)
+        monkeypatch.setattr("navlog.canonical.build_canonical", counted)
+        code, report = run_json(capsys, "canonical", *CANON,
+                                "--verify", "--json")
+        assert code == 0 and report["verification"]["ok"] is True
+        assert len(built) == 1
+
 
 class TestGchain:
     def write_strategy(self, tmp_path, text):
