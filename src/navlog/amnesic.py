@@ -59,7 +59,7 @@ class AmnesicDecision:
     note: Optional[str] = None
 
 
-def _search(system: EpistemicTransitionSystem, roots: list[int], corridor: int,
+def _search(system: EpistemicTransitionSystem, roots: Sequence[int], corridor: int,
             target: int, sigma: list[Optional[int]],
             status: Optional[list[int]] = None, trail: Optional[list[int]] = None,
             top: Optional[tuple] = None, i: int = 0
@@ -150,7 +150,7 @@ def decide_amnesic(system: EpistemicTransitionSystem, objective: UntilObjective,
     only the verdict matters.  No results are cached across atoms.
     """
     corridor, target = objective.corridor, objective.target
-    roots = [k for k, m in enumerate(system.view_bit) if m & objective.start]
+    roots = system.observers(objective.start)
     note = None if roots else "no state observes a start view; holds vacuously"
     n_views = len(system.universe)
     sigma: list[Optional[int]] = [None] * n_views

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 _IDENT = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -121,6 +122,9 @@ class EpistemicTransitionSystem:
     by declaration order: `view_of[s]` is the view index state s observes,
     `view_bit[s]` is `1 << view_of[s]`, and `succ[s][i]` is the sorted
     tuple of state indices that state s reaches under instruction i.
+    `observers(mask)` lists the states observing the views of a mask from
+    the per-view lists built here, so no engine scans every state for its
+    roots.
     """
 
     def __init__(
@@ -143,6 +147,7 @@ class EpistemicTransitionSystem:
         for k, v in enumerate(observation):
             per_view[v].append(k)
         self._view_states = tuple(tuple(ks) for ks in per_view)
+        self._observers: dict[int, tuple[int, ...]] = {}
 
     @classmethod
     def build(
@@ -186,6 +191,26 @@ class EpistemicTransitionSystem:
         """States whose observation is `view`, in declaration order."""
         ks = self._view_states[self.universe.index(view)]
         return tuple(self.states[k] for k in ks)
+
+    def observers(self, mask: int) -> tuple[int, ...]:
+        """Indices of the states observing a view in `mask`, ascending.
+
+        Views outside the universe, and views no state observes, add none.
+        Each mask is worked out once per system: engines ask again for the
+        same start views, and on tiny systems a lookup beats any merge.
+        """
+        found = self._observers.get(mask)
+        if found is None:
+            groups = []
+            rest = mask & self.universe.full
+            while rest:
+                low = rest & -rest
+                groups.append(self._view_states[low.bit_length() - 1])
+                rest ^= low
+            found = self._observers[mask] = (
+                groups[0] if len(groups) == 1
+                else tuple(sorted(chain.from_iterable(groups))))
+        return found
 
     def successors(self, state: str, instruction: str) -> tuple[str, ...]:
         """Targets reachable from `state` in one `instruction` step."""
@@ -449,7 +474,7 @@ def check_strategy(
     target view are success leaves: the run is not extended past them.
     """
     choices, view_of = strategy.choices, system.view_of
-    roots = [k for k, m in enumerate(system.view_bit) if m & objective.start]
+    roots = system.observers(objective.start)
     reason, top, i = explore(system, choices, objective.corridor,
                              objective.target, roots,
                              [UNSEEN] * len(system.states), [])

@@ -78,8 +78,7 @@ def _initial(system: EpistemicTransitionSystem, start_mask: int) -> list[_Key]:
     At the first observation the agent has no history, so the possible set is
     the whole view class.  Views observing no state contribute nothing.
     """
-    return _split(system, [s for s, v in enumerate(system.view_of)
-                           if start_mask >> v & 1])
+    return _split(system, system.observers(start_mask))
 
 
 def _step(system: EpistemicTransitionSystem, key: _Key,

@@ -5,19 +5,25 @@ set-based reachability plus Kahn's algorithm, not by the engines' pruned
 depth-first search; navigability is decided by enumerating every total
 strategy; saturation is redone by whole rounds.  Keep this module independent
 of navlog.amnesic, navlog.core.check_strategy and navlog.proof so a shared bug
-cannot hide behind agreement.  The one exception is the slow twin of
-lex-least minimisation, which reuses the amnesic search on purpose: the
-search is checked against enumeration elsewhere, and what the twin checks is
-that resuming each trial where the walk paused changes nothing.
+cannot hide behind agreement.  The two exceptions are slow twins that reuse
+an engine's parts on purpose, because what they check is one shortcut:
+- the twin of lex-least minimisation reuses the amnesic search (checked
+  against enumeration elsewhere) and checks that resuming each trial where
+  the walk paused changes nothing;
+- the twin of saturation reuses its axioms and rule step (checked against
+  the round-based closure elsewhere) and checks that skipping the steps
+  that cannot add an atom changes no recorded derivation.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Mapping, Optional, Set
+from collections import deque
+from typing import Dict, Iterable, Mapping, Optional, Set
 
 from navlog.amnesic import _search
 from navlog.core import EpistemicTransitionSystem, UntilObjective
+from navlog.proof import _axioms, _fire
 from navlog.syntax import Atom
 
 
@@ -161,3 +167,27 @@ def closure_by_rounds(n_views: int, assumptions) -> Set[tuple]:
         if new <= atoms:
             return atoms
         atoms |= new
+
+
+def provenance_by_full_firing(n_views: int, assumptions: Iterable[tuple]) -> dict:
+    """Saturation's provenance, every rule step fired: each atom of the
+    worklist, when popped, widens by every mask and meets every transitivity
+    partner derived so far, reflexive or not."""
+    full = (1 << n_views) - 1
+    provenance: dict = {}
+    by_start: dict = {}
+    by_target: dict = {}
+    queue: deque = deque()
+
+    def add(key, rule, premises):
+        if key not in provenance:
+            provenance[key] = (rule, premises)
+            by_start.setdefault(key[0], []).append(key)
+            by_target.setdefault(key[2], []).append(key)
+            queue.append(key)
+
+    for step in _axioms(full, assumptions):
+        add(*step)
+    while queue:
+        _fire(queue.popleft(), range(full + 1), by_start, by_target, add)
+    return provenance

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from navlog.core import EpistemicTransitionSystem
+from navlog.core import EpistemicTransitionSystem, Universe
 from navlog.fixtures import load_t0, load_t1
-from navlog.syntax import parse_system, render_system
+from navlog.proof import saturate
+from navlog.syntax import Atom, parse_system, render_system
 
 # Pairwise navigability of the eight-state fixture over its six view classes,
 # corridor unrestricted: rows are start classes, columns target classes;
@@ -17,6 +18,23 @@ T0_GRID = {
     "v5": "a r a a a a",
     "v6": "a a a a a a",
 }
+
+
+@pytest.fixture(scope="session")
+def fifty_theories():
+    """Frozen sample: the closures of 50 assumption sets over 1..3 views."""
+    rng = random.Random(20260819)
+    theories = []
+    for _ in range(50):
+        universe = Universe(tuple(f"v{k}" for k in range(rng.randint(1, 3))))
+        side = 1 << len(universe)
+        assumptions = [
+            Atom.from_masks(universe, rng.randrange(side), rng.randrange(side),
+                            rng.randrange(side))
+            for _ in range(rng.randint(0, 4))
+        ]
+        theories.append(saturate(universe, assumptions))
+    return theories
 
 
 @pytest.fixture(scope="session")

@@ -57,23 +57,6 @@ def constant_works(system, instruction, start, corridor, target) -> bool:
     return check_strategy(system, strategy, objective) is None
 
 
-@pytest.fixture(scope="module")
-def fifty_theories():
-    """Frozen sample: 50 assumption sets over 1..3 views."""
-    rng = random.Random(20260819)
-    theories = []
-    for _ in range(50):
-        universe = Universe(tuple(f"v{k}" for k in range(rng.randint(1, 3))))
-        side = 1 << len(universe)
-        assumptions = [
-            Atom.from_masks(universe, rng.randrange(side), rng.randrange(side),
-                            rng.randrange(side))
-            for _ in range(rng.randint(0, 4))
-        ]
-        theories.append(saturate(universe, assumptions))
-    return theories
-
-
 def test_criterion_1_pairwise_grid(tmp_path, capsys):
     with criterion(1, "six-class pairwise grid via the table subcommand"):
         started = time.perf_counter()

@@ -87,6 +87,22 @@ class TestValidation:
         assert t0.successors("a", "0") == ("h",)
         assert ("h", "1", "a") in t0.transition_triples()
 
+    def test_observers_equal_a_scan_of_every_state(self, t0, t1):
+        rng = random.Random(7)
+        ghostly = EpistemicTransitionSystem.build(
+            views=("v", "ghost", "w"), instructions=("0",),
+            states=[("s", "w"), ("t", "v"), ("u", "w")])
+        systems = [t0, t1, ghostly] + [small_random_system(rng, max_views=4,
+                                                           max_states=6)
+                                       for _ in range(30)]
+        for system in systems:
+            for mask in [*range(1 << len(system.universe))] * 2:   # then memoized
+                scan = [k for k, m in enumerate(system.view_bit) if m & mask]
+                assert list(system.observers(mask)) == scan
+        assert ghostly.observers(0b010) == ()
+        assert ghostly.observers(0b101) == (0, 1, 2)
+        assert ghostly.observers(0b1100) == (0, 2)       # bit 3 names no view
+
 
 class TestCheckStrategy:
     def test_constant_one_reaches_v3(self, t0):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import closure_by_rounds
+from _oracles import closure_by_rounds, provenance_by_full_firing
 from conftest import small_random_system
 
 from navlog.amnesic import check_atom_amnesic
@@ -236,6 +236,67 @@ def test_saturation_matches_round_based_closure(universe, assumptions):
     expected = closure_by_rounds(
         len(universe), [a.masks(universe) for a in assumptions])
     assert saturate(universe, assumptions).derived == expected
+
+
+def _random_wide_theory(seed):
+    """One to two random atoms over 4 views, or over 5 for every fourth seed."""
+    rng = random.Random(seed)
+    universe = Universe(tuple(f"v{k}" for k in range(4 + (seed % 4 == 3))))
+    side = 1 << len(universe)
+    return universe, [
+        Atom.from_masks(universe, rng.randrange(side), rng.randrange(side),
+                        rng.randrange(side))
+        for _ in range(rng.randint(1, 2))
+    ]
+
+
+def _assert_fires_as_full_firing(universe, assumed_keys):
+    clo = saturate(universe, [Atom.from_masks(universe, *k) for k in assumed_keys])
+    expected = provenance_by_full_firing(len(universe), clo.assumptions)
+    assert list(clo.provenance.items()) == list(expected.items())
+
+
+class TestSkippedSteps:
+    """Saturation skips the steps whose conclusion is reflexive or repeats an
+    earlier step's; the first derivations and their order must not move."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_empty_theory(self, n):
+        _assert_fires_as_full_firing(Universe(tuple(f"v{k}" for k in range(n))), [])
+
+    @pytest.mark.parametrize("universe, assumptions", ORACLE_THEORIES)
+    def test_oracle_theories(self, universe, assumptions):
+        _assert_fires_as_full_firing(universe, [a.masks(universe) for a in assumptions])
+
+    def test_fifty_theories(self, fifty_theories):
+        for clo in fifty_theories:
+            _assert_fires_as_full_firing(clo.universe, clo.assumptions)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_wide_theories(self, seed):
+        universe, assumptions = _random_wide_theory(seed)
+        _assert_fires_as_full_firing(universe, [a.masks(universe) for a in assumptions])
+
+
+@pytest.mark.parametrize("universe, assumptions",
+                         [t for t in ORACLE_THEORIES if len(t[0]) <= 3])
+def test_is_closed_misses_no_removed_atom(universe, assumptions):
+    clo = saturate(universe, assumptions)
+    for key in clo.derived - clo.assumptions:
+        if key[0] & ~key[2]:      # not reflexive
+            holed = Closure(universe, clo.assumptions, clo.derived - {key}, {})
+            assert not is_closed(holed), key
+
+
+def test_is_closed_fires_a_reflexive_premise_with_a_non_reflexive_one():
+    """Assuming nav({x}; {}; {}) over one view derives every atom.  Without
+    nav({x}; {x}; {}), the set is closed under every step but transitivity
+    from (x, {}, {}) and the reflexive (x, {x}, x) or ({}, {x}, {})."""
+    u = Universe(("x",))
+    everything = frozenset((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+    assert saturate(u, [Atom.from_masks(u, 1, 0, 0)]).derived == everything
+    holed = Closure(u, frozenset({(1, 0, 0)}), everything - {(1, 1, 0)}, {})
+    assert not is_closed(holed)
 
 
 def test_rule_steps_fire_on_the_first_premise_with_the_given_masks():
