@@ -16,6 +16,19 @@ position is repeated and a chain of views is decided in linear time.
 Verdicts are deterministic: start states, successors and candidate
 instructions are always scanned in declaration order.
 
+A search from the roots that outgrows the transition table -- more
+counterexamples than the system has (state, instruction) rows -- probes
+once: it reads one total strategy off the full-observation attractor (each
+view takes the instruction whose worst successor rank is least) and replays
+it.  If every run verifies, the search ends with that strategy, restricted
+to the views the replay consulted; if not, it carries on exactly where it
+stopped.  A probe costs about one pass over the table, so it runs only
+after the search has done that much work, and small searches never reach
+it.  It counts as one examined assignment, won or lost, unless a root lies
+outside the attractor: then no strategy can win, and nothing is replayed
+or counted.  Verdicts and the lex-least witness do not depend on the probe;
+the raw witness and `strategies_examined` of a search past the budget do.
+
 The witness reported is the lexicographically least one.  Minimisation fixes
 views in declaration order and keeps the last successful assignment: a view
 it never consults takes instruction 0 unsearched, and a consulted view is
@@ -59,10 +72,80 @@ class AmnesicDecision:
     note: Optional[str] = None
 
 
+def _probe(system: EpistemicTransitionSystem, roots: Sequence[int],
+           corridor: int, target: int
+           ) -> tuple[int, Optional[list[Optional[int]]]]:
+    """One total strategy read off the full-observation attractor, replayed.
+
+    Ranks come from a counting attractor, linear in the transitions: target
+    states have rank 0, and a corridor state joins when some instruction's
+    non-empty successor row has joined in full, at one more than the rank
+    of that row's last successor to join.  Each view takes the instruction
+    whose worst successor rank, over all of the view's states, is least; an
+    empty row or an unjoined successor counts as worst, and ties go to the
+    lower index.  The strategy is replayed from the roots on fresh marks.
+
+    Returns the number of assignments examined and, when every run
+    verifies, the strategy restricted to the views of the states the replay
+    marked safe (the others None).  A root outside the attractor loses even
+    with full observation, so then nothing is replayed: (0, None).
+    """
+    view_bit, view_of, succ = system.view_bit, system.view_of, system.succ
+    n_instructions = len(system.instructions)
+    worst = len(system.states)
+    rank = [worst] * len(system.states)
+    # Row s * n_instructions + k is succ[s][k]: its successors yet to join,
+    # the rank of its last successor to join, and each state's rows.
+    owed = [0] * (len(system.states) * n_instructions)
+    row_rank = [worst] * len(owed)
+    before: list[list[int]] = [[] for _ in system.states]
+    layer, owing = [], []
+    for s, row in enumerate(succ):
+        m = view_bit[s]
+        if m & target:
+            rank[s] = 0
+            layer.append(s)
+        elif m & corridor:
+            owing.append(s)
+            for key, cell in enumerate(row, s * n_instructions):
+                if cell:
+                    owed[key] = len(cell)
+                    for t in cell:
+                        before[t].append(key)
+    r = 0
+    while layer:
+        joined = []
+        for t in layer:
+            for key in before[t]:
+                owed[key] -= 1
+                if not owed[key]:
+                    row_rank[key] = r
+                    s = key // n_instructions
+                    if rank[s] == worst:
+                        rank[s] = r + 1
+                        joined.append(s)
+        layer = joined
+        r += 1
+    if any(rank[s] == worst for s in roots):
+        return 0, None
+    cost = [[-1] * n_instructions for _ in system.universe]
+    for s in owing:
+        v, key = view_of[s], s * n_instructions
+        cost[v] = list(map(max, cost[v], row_rank[key:key + n_instructions]))
+    strategy = [per.index(min(per)) for per in cost]
+    trail: list[int] = []
+    found, _, _ = explore(system, strategy, corridor, target, roots,
+                          [UNSEEN] * len(system.states), trail)
+    if found is not None:
+        return 1, None
+    consulted = {view_of[s] for s in trail}
+    return 1, [c if v in consulted else None for v, c in enumerate(strategy)]
+
+
 def _search(system: EpistemicTransitionSystem, roots: Sequence[int], corridor: int,
             target: int, sigma: list[Optional[int]],
             status: Optional[list[int]] = None, trail: Optional[list[int]] = None,
-            top: Optional[tuple] = None, i: int = 0
+            top: Optional[tuple] = None, i: int = 0, probe: bool = False
             ) -> tuple[bool, int, Optional[tuple]]:
     """Complete the partial strategy `sigma` in place, if it can be done.
 
@@ -88,8 +171,13 @@ def _search(system: EpistemicTransitionSystem, roots: Sequence[int], corridor: i
     on success, the last counterexample's on failure).  Safe marks trailed
     after the start may remain; a caller that resumes the same marks
     elsewhere resets them and moves the path marks back with `move_path`.
+
+    With `probe`, the search runs `_probe` once, when its count of
+    counterexamples first exceeds the number of rows of the transition
+    table; a probe that wins ends the search with its assignment.
     """
     n_instructions = len(system.instructions)
+    budget = len(system.states) * n_instructions
     if status is None:
         status, trail = [UNSEEN] * len(system.states), []
     frames: list[list] = []
@@ -102,6 +190,13 @@ def _search(system: EpistemicTransitionSystem, roots: Sequence[int], corridor: i
             sigma[found] = 0
         else:
             examined += 1
+            if probe and examined > budget:
+                probe = False
+                probed, won = _probe(system, roots, corridor, target)
+                examined += probed
+                if won is not None:
+                    sigma[:] = won
+                    return True, examined, None
             while frames:
                 frame = frames[-1]
                 view, instruction, mark, saved, j = frame
@@ -148,13 +243,25 @@ def decide_amnesic(system: EpistemicTransitionSystem, objective: UntilObjective,
     Passing False skips that minimization and reports the raw assignment the
     search found first (still a valid witness) -- useful in bulk sweeps where
     only the verdict matters.  No results are cached across atoms.
+
+    The verdict search, and only it, probes once it has met more
+    counterexamples than the system has (state, instruction) rows: it
+    replays the strategy read off the full-observation attractor, and ends
+    if that wins.  The assignment it then returns is that strategy on the
+    views the replay consulted, None elsewhere, so the raw witness has 0 on
+    the other views and minimisation leaves them unsearched.  The probe
+    counts as one examined assignment, won or lost (it is skipped, and not
+    counted, when a root lies outside the attractor).  So past that budget
+    the raw witness and `strategies_examined` may differ from a search
+    without the probe; the verdict and the lex-least witness never do.
     """
     corridor, target = objective.corridor, objective.target
     roots = system.observers(objective.start)
     note = None if roots else "no state observes a start view; holds vacuously"
     n_views = len(system.universe)
     sigma: list[Optional[int]] = [None] * n_views
-    holds, examined, _ = _search(system, roots, corridor, target, sigma)
+    holds, examined, _ = _search(system, roots, corridor, target, sigma,
+                                 probe=True)
     if not holds:
         return AmnesicDecision(False, None, examined)
     if canonical_witness:

@@ -28,7 +28,7 @@ from .core import (AmnesicStrategy, EpistemicTransitionSystem, Universe,
 from .fixtures import T0_ETS, load_t0
 from .proof import (AUGMENTATION, REFLEXIVITY, TRANSITIVITY, TRIM_CORRIDOR,
                     Key, rule_steps)
-from .recall import decide_recall
+from .recall import winning_views
 from .syntax import Atom, render_system
 
 __all__ = ["FuzzConfig", "FuzzViolation", "FuzzReport",
@@ -129,7 +129,7 @@ class _Campaign:
                               canonical_witness=False)
 
     def _recall_holds(self, key: Key) -> bool:
-        return decide_recall(self.system, UntilObjective(*key)).holds
+        return winning_views(self.system, *key) == key[0]
 
     def _expect(self, prop: str, key: Key, premises: Tuple[Key, ...]) -> None:
         self._check(prop, self._amnesic(key).holds, lambda: (

@@ -13,11 +13,11 @@ triples.  Six rules generate the closure of a set of assumed atoms:
 
 Each rule is stated once: reflexivity, with the assumptions, in `_axioms`, and
 the other five in the rule step `_fire`.  `saturate` fires that step on every
-atom of a worklist; `is_closed` replays it, and `verify_provenance` and the
-fuzz campaign call it through `rule_steps`.  The campaign checks every
-conclusion it yields against model truth on random systems; the round-based
-closure the tests keep (tests/_oracles.py) checks the rules as the paper
-writes them.
+atom of a worklist, `is_closed` fires it once on each atom of a closure, and
+`verify_provenance` and the fuzz campaign call it through `rule_steps`.  The
+campaign checks every conclusion it yields against model truth on random
+systems; the round-based closure the tests keep (tests/_oracles.py) checks
+the rules as the paper writes them.
 
 The worklist seeds every reflexive atom before anything fires, and the rules
 map reflexive premises to reflexive conclusions, so it skips the steps that
@@ -142,7 +142,7 @@ def _fire(t: Key, masks: Iterable[int], by_start: Dict[int, list[Key]],
                 add((pair[0][0], b | u[1], pair[1][2]), TRANSITIVITY, pair)
 
 
-def _close(full: int, assumed: Iterable[Key], limit: Optional[int] = None
+def _close(full: int, assumed: Iterable[Key]
            ) -> Dict[Key, Tuple[str, Tuple[Key, ...]]]:
     """Close the axioms under the rules; maps each atom to its first step.
 
@@ -164,8 +164,7 @@ def _close(full: int, assumed: Iterable[Key], limit: Optional[int] = None
       or holds all of A minus C (the conclusion is reflexive).
 
     The steps left add the same atoms in the same order, with the same first
-    derivations, as firing every step would.  With `limit`, stops once more
-    than `limit` atoms are derived.
+    derivations, as firing every step would.
     """
     provenance: Dict[Key, Tuple[str, Tuple[Key, ...]]] = {}
     by_start: Dict[int, list[Key]] = {}
@@ -187,20 +186,28 @@ def _close(full: int, assumed: Iterable[Key], limit: Optional[int] = None
 
     for step in _axioms(full, assumed):
         add(*step)
-    widen: Dict[Tuple[int, int], Tuple[int, ...]] = {}   # by (A & C, A minus C)
-    while queue and (limit is None or len(provenance) <= limit):
+    widen: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    while queue:
         t = queue.popleft()
-        a, _, c = t
-        out = a & ~c
-        if not out:
+        if t[0] & ~t[2]:
+            _fire(t, _widening(widen, full, t), by_start, by_target, add)
+        else:
             _fire(t, (), reach_start, reach_target, add)
-            continue
-        masks = widen.get((a & c, out))
-        if masks is None:
-            masks = widen[a & c, out] = tuple(
-                d for d in range(full + 1) if not d & a & c and d & out != out)
-        _fire(t, masks, by_start, by_target, add)
     return provenance
+
+
+def _widening(widen: Dict[Tuple[int, int], Tuple[int, ...]], full: int,
+              t: Key) -> Tuple[int, ...]:
+    """The augmentation masks a non-reflexive atom fires: those that miss
+    A & C and do not hold all of A minus C.  `widen` keeps them by
+    (A & C, A minus C)."""
+    a, _, c = t
+    key = (a & c, a & ~c)
+    masks = widen.get(key)
+    if masks is None:
+        masks = widen[key] = tuple(d for d in range(full + 1)
+                                   if not d & key[0] and d & key[1] != key[1])
+    return masks
 
 
 def rule_steps(premises: Tuple[Key, ...],
@@ -242,15 +249,42 @@ def saturate(universe: Universe, assumptions: Iterable[Atom] = (),
 def is_closed(closure: Closure) -> bool:
     """True when `derived` holds every axiom and no rule application adds to it.
 
-    Closes `derived` together with the reflexive atoms and the assumptions by
-    the rule step saturation uses, and asks whether anything new appears; it
-    stops closing once one does.
+    One sweep: every reflexive atom and every assumption must lie in
+    `derived`, and the rule step saturation uses, fired once on each derived
+    atom with the derived atoms as right transitivity partners, must
+    conclude nothing outside it.  Each transitivity pair then meets once,
+    with its left premise.  With the axioms present, the steps `_close`
+    skips only conclude reflexive atoms or repeat a step, so the sweep
+    skips them too.  It stops after the first atom that fires a step out
+    of `derived`.
     Saturate-produced closures pass by construction; hand-assembled ones get
     checked before model building.
     """
     derived = closure.derived
-    closed = _close(closure.universe.full, closure.assumptions | derived, len(derived))
-    return closed.keys() == derived
+    full = closure.universe.full
+    if any(key not in derived for key, _, _ in _axioms(full, closure.assumptions)):
+        return False
+    by_start: Dict[int, list[Key]] = {}
+    reach_start: Dict[int, list[Key]] = {}
+    for key in derived:
+        by_start.setdefault(key[0], []).append(key)
+        if key[0] & ~key[2]:
+            reach_start.setdefault(key[0], []).append(key)
+    outside: list[Key] = []
+
+    def add(key: Key, rule: str, premises: Tuple[Key, ...]) -> None:
+        if key not in derived:
+            outside.append(key)
+
+    widen: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+    for t in derived:
+        if t[0] & ~t[2]:
+            _fire(t, _widening(widen, full, t), by_start, {}, add)
+        else:
+            _fire(t, (), reach_start, {}, add)
+        if outside:
+            return False
+    return True
 
 
 def derives(closure: Closure, atom: Atom) -> bool:

@@ -105,7 +105,9 @@ def lex_least_by_trials_from_roots(system: EpistemicTransitionSystem,
                                    objective: UntilObjective) -> tuple:
     """(holds, witness choices, strategies_examined, note) of
     `decide_amnesic` with the lex-least witness, every minimisation trial a
-    fresh search from the roots on a copy of the assignment.
+    fresh search from the roots on a copy of the assignment, and no probe:
+    for a verdict search that passes the probe's budget, the count is the
+    plain search's.
 
     Views are fixed in declaration order, starting from the last successful
     assignment: a view it leaves unassigned takes instruction 0 unsearched,

@@ -102,3 +102,44 @@ def two_way_chain(n: int, order=None) -> EpistemicTransitionSystem:
     transitions = [(f"s{k}", "1", f"s{k + 1}") for k in range(n - 1)]
     transitions += [(f"s{k}", "0", f"s{k - 1}") for k in range(1, n)]
     return EpistemicTransitionSystem.build(views, ("0", "1"), states, transitions)
+
+
+def planted_system(seed: int):
+    """A seeded random system of 60-200 states, 6-10 views and instructions
+    0, 1, 2, each row one or two random successors, with two claims planted
+    by rewriting the rows they use.  Returns the system and the views
+    (a, x, b, c, y, d) as indices:
+
+    - nav({a}; ALL; {b}) holds memorylessly: 2 on a leads only into x, and
+      1 on x only into b;
+    - nav({c}; ALL; {d}) holds only with recall: 0 on c leads only into
+      the first half of y's states, 1 on that half only into the second
+      half, and 2 on the second half only into d, so y needs 1 on its first
+      visit and 2 on its second.
+    """
+    rng = random.Random(seed)
+    n_states, n_views = rng.randint(60, 200), rng.randint(6, 10)
+    view_of = [rng.randrange(n_views) for _ in range(n_states)]
+    for k in range(6):              # the planted views each need a state,
+        view_of[2 * k] = view_of[2 * k + 1] = k     # and y two
+    of_view = lambda v: [s for s, w in enumerate(view_of) if w == v]
+    a, x, b, c, y, d = rng.sample(range(n_views), 6)
+    ys = of_view(y)
+    plant = {s: (2, of_view(x)) for s in of_view(a)}
+    plant.update({s: (1, of_view(b)) for s in of_view(x)})
+    plant.update({s: (0, ys[:len(ys) // 2]) for s in of_view(c)})
+    plant.update({s: (1, ys[len(ys) // 2:]) for s in ys[:len(ys) // 2]})
+    plant.update({s: (2, of_view(d)) for s in ys[len(ys) // 2:]})
+    succ = []
+    for s in range(n_states):
+        row = [tuple(sorted({rng.randrange(n_states)
+                             for _ in range(rng.randint(1, 2))}))
+               for _ in range(3)]
+        if s in plant:
+            k, pool = plant[s]
+            row[k] = tuple(sorted({rng.choice(pool) for _ in range(2)}))
+        succ.append(tuple(row))
+    system = EpistemicTransitionSystem(
+        Universe(f"v{k}" for k in range(n_views)), ("0", "1", "2"),
+        tuple(f"s{j}" for j in range(n_states)), tuple(view_of), tuple(succ))
+    return system, (a, x, b, c, y, d)

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import T0_GRID, small_random_system, two_way_chain
+from conftest import (T0_GRID, planted_system, small_random_system,
+                      two_way_chain)
 from _oracles import (find_witness_by_enumeration, holds_by_enumeration,
                       lex_least_by_trials_from_roots)
 
@@ -266,7 +267,7 @@ class TestWitnesses:
         search = amnesic._search
 
         def spy(system, roots, corridor, target, sigma, status=None,
-                trail=None, top=None, i=0):
+                trail=None, top=None, i=0, probe=False):
             if status is None:
                 trials["from the roots"] += 1
             else:
@@ -277,7 +278,7 @@ class TestWitnesses:
                 trials["at the view" if paused == v else
                        "at a later view" if paused > v else "behind"] += 1
             return search(system, roots, corridor, target, sigma, status,
-                          trail, top, i)
+                          trail, top, i, probe)
 
         cheaper = EpistemicTransitionSystem.build(
             views=("v0", "v1", "goal"), instructions=("0", "1"),
@@ -490,3 +491,129 @@ def test_lex_least_matches_trials_from_the_roots(seed):
             decision.witness.choices if decision.holds else None,
             decision.strategies_examined,
             decision.note) == lex_least_by_trials_from_roots(system, objective)
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """What every probe the amnesic search runs returns: the assignments it
+    examined, and the strategy it won with or None."""
+    seen = []
+    probe = amnesic._probe
+
+    def spy(system, roots, corridor, target):
+        seen.append(probe(system, roots, corridor, target))
+        return seen[-1]
+
+    monkeypatch.setattr(amnesic, "_probe", spy)
+    return seen
+
+
+# Planted systems where the plain search passes the budget on both claims:
+# the memoryless claim's probe wins, and the recall-only claim FAILS.
+PROBED_SEEDS = (12, 40, 81, 95, 102, 105, 116)
+
+
+class TestProbe:
+    @pytest.mark.parametrize("seed", PROBED_SEEDS)
+    def test_probe_wins_the_memoryless_claim(self, seed, probes):
+        # The probe runs once the search has met one counterexample more
+        # than the table has rows, and counts as one assignment.  Views its
+        # replay never consulted stay unassigned, so the raw witness gives
+        # them 0.  Minimisation never probes, and reports the least witness.
+        system, (a, x, b, c, y, d) = planted_system(seed)
+        objective = UntilObjective(1 << a, system.universe.full, 1 << b)
+        raw = decide_amnesic(system, objective, canonical_witness=False)
+        [(examined, won)] = probes
+        assert examined == 1 and won is not None
+        assert won[a] == 2 and won[x] == 1 and won[b] is None
+        assert raw.holds
+        assert raw.witness.choices == tuple(c or 0 for c in won)
+        assert raw.strategies_examined == 3 * len(system.states) + 2
+        assert check_strategy(system, raw.witness, objective) is None
+        probes.clear()
+        least = decide_amnesic(system, objective)
+        assert [(n, w is not None) for n, w in probes] == [(1, True)]
+        want = lex_least_by_trials_from_roots(system, objective)
+        assert (least.holds, least.witness.choices) == want[:2]
+        assert least.strategies_examined <= want[2]
+
+    @pytest.mark.parametrize("seed", PROBED_SEEDS)
+    def test_probe_loses_the_recall_only_claim(self, seed, probes):
+        # Recall wins through y twice with different instructions; no
+        # memoryless strategy does, so the probe loses, the search carries
+        # on where it stopped, and the lost probe costs one assignment.
+        system, (a, x, b, c, y, d) = planted_system(seed)
+        objective = UntilObjective(1 << c, system.universe.full, 1 << d)
+        assert decide_recall(system, objective).holds
+        for canonical_witness in (False, True):
+            probes.clear()
+            decision = decide_amnesic(system, objective, canonical_witness)
+            assert probes == [(1, None)]
+            assert not decision.holds and decision.witness is None
+            want = lex_least_by_trials_from_roots(system, objective)
+            assert decision.strategies_examined == want[2] + 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_planted_claims_match_the_plain_search(self, seed, probes):
+        # Verdicts and least witnesses are those of the search without a
+        # probe.  A search that never passes the budget counts the same, a
+        # lost probe adds its one assignment, and a won probe ends the raw
+        # search before the plain one ends.
+        system, (a, x, b, c, y, d) = planted_system(seed)
+        for s, t in ((a, b), (c, d), (b, a), (y, x)):
+            objective = UntilObjective(1 << s, system.universe.full, 1 << t)
+            plain = amnesic._search(
+                system, system.observers(1 << s), system.universe.full,
+                1 << t, [None] * len(system.universe))[1]
+            want = lex_least_by_trials_from_roots(system, objective)
+            probes.clear()
+            raw = decide_amnesic(system, objective, canonical_witness=False)
+            least = decide_amnesic(system, objective)
+            assert not probes or probes == [probes[0]] * 2   # one per search
+            assert raw.holds == least.holds == want[0]
+            assert least.witness is None or least.witness.choices == want[1]
+            assert least.note == want[3]
+            if raw.holds:
+                assert check_strategy(system, raw.witness, objective) is None
+            if not probes:
+                assert raw.strategies_examined == plain
+                assert least.strategies_examined == want[2]
+            elif probes[0][1] is None:
+                assert raw.strategies_examined == plain + 1
+                assert least.strategies_examined == want[2] + 1
+            else:
+                assert raw.strategies_examined <= plain
+
+    def test_probe_reads_its_strategy_off_the_ranks(self, t0):
+        # On a chain every rank falls one step towards the target, so each
+        # view takes the instruction that steps that way; the target view
+        # is never consulted.  A root the corridor cuts off from the target
+        # is outside the attractor, and nothing is replayed.
+        chain = two_way_chain(6)
+        full = chain.universe.full
+        assert amnesic._probe(chain, (0,), full, 1 << 5) == (1, [1] * 5 + [None])
+        assert amnesic._probe(chain, (5,), full, 1) == (1, [None] + [0] * 5)
+        assert amnesic._probe(chain, (0,), full & ~(1 << 3), 1 << 5) == (0, None)
+        # T0's recall-only cell: full observation wins, no strategy does.
+        roots = t0.observers(t0.universe.mask(["v1"]))
+        goal = t0.universe.mask(["v2"])
+        assert amnesic._probe(t0, roots, t0.universe.full, goal) == (1, None)
+
+    def test_small_searches_never_probe(self, t0, probes):
+        # T0 has 16 rows and a chain of n views 2n, more than either search
+        # ever meets counterexamples, also on a chain declared backwards.
+        names = t0.universe.names
+        for row in names:
+            for col in names:
+                for canonical_witness in (False, True):
+                    check_atom_amnesic(t0, atom_over(t0, [row], names, [col]),
+                                       canonical_witness)
+        cases = [(two_way_chain(n), "v0", f"v{n - 1}") for n in (2, 7, 40, 3000)]
+        cases += [(two_way_chain(n, range(n - 1, -1, -1)), f"v{n - 1}", "v0")
+                  for n in (7, 40)]
+        for chain, start, goal in cases:
+            for canonical_witness in (False, True):
+                check_atom_amnesic(chain, atom_over(
+                    chain, [start], chain.universe.names, [goal]),
+                    canonical_witness)
+        assert probes == []

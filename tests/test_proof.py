@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from _oracles import closure_by_rounds, provenance_by_full_firing
 from conftest import small_random_system
 
+from navlog import proof
 from navlog.amnesic import check_atom_amnesic
 from navlog.core import Universe
 from navlog.proof import (ASSUMPTION, AUGMENTATION, EMPTY_TARGET,
@@ -297,6 +298,26 @@ def test_is_closed_fires_a_reflexive_premise_with_a_non_reflexive_one():
     assert saturate(u, [Atom.from_masks(u, 1, 0, 0)]).derived == everything
     holed = Closure(u, frozenset({(1, 0, 0)}), everything - {(1, 1, 0)}, {})
     assert not is_closed(holed)
+
+
+@pytest.mark.parametrize("universe, assumptions",
+                         [t for t in ORACLE_THEORIES if len(t[0]) <= 3])
+def test_is_closed_fires_each_derived_atom_once(universe, assumptions,
+                                                monkeypatch):
+    """A closed set costs one firing per atom: each transitivity pair meets
+    once, with its left premise."""
+    fired = []
+    fire = proof._fire
+
+    def spy(t, masks, by_start, by_target, add):
+        assert not by_target      # no right partners
+        fired.append(t)
+        fire(t, masks, by_start, by_target, add)
+
+    clo = saturate(universe, assumptions)
+    monkeypatch.setattr(proof, "_fire", spy)
+    assert is_closed(Closure(universe, clo.assumptions, clo.derived, {}))
+    assert sorted(fired) == sorted(clo.derived)
 
 
 def test_rule_steps_fire_on_the_first_premise_with_the_given_masks():
