@@ -17,7 +17,7 @@ from .canonical import (CanonicalInstruction, GChain, GStage,
                         verify_chain, verify_stage_conditions,
                         verify_truth_lemma)
 from .core import (DEAD_END, LEFT_CORRIDOR, NEVER_REACHES, AmnesicStrategy,
-                   EpistemicTransitionSystem, PathWitness, RawSystem,
+                   EpistemicTransitionSystem, PathWitness,
                    SystemValidationError, Universe, UntilObjective,
                    check_strategy, validate_system, verify_witness)
 from .fixtures import T0_ETS, T1_ETS, load_t0, load_t1
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "Universe", "RawSystem", "EpistemicTransitionSystem", "validate_system",
+    "Universe", "EpistemicTransitionSystem", "validate_system",
     "SystemValidationError", "AmnesicStrategy", "UntilObjective",
     "PathWitness", "check_strategy", "verify_witness",
     "LEFT_CORRIDOR", "DEAD_END", "NEVER_REACHES",

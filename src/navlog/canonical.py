@@ -37,6 +37,11 @@ __all__ = [
     "verify_chain", "verify_stage_conditions",
 ]
 
+# Above three views, verify_truth_lemma checks the atoms of this many draws
+# from a generator seeded with _SEED.
+_SAMPLES = 500
+_SEED = 0
+
 
 @dataclass(frozen=True)
 class CanonicalInstruction:
@@ -150,13 +155,12 @@ class TruthLemmaReport:
 
 
 def verify_truth_lemma(closure: Closure, exhaustive: Optional[bool] = None,
-                       samples: int = 500, seed: int = 0,
                        system: Optional[EpistemicTransitionSystem] = None
                        ) -> TruthLemmaReport:
     """Compare derivability against model truth on the built system.
 
     Exhaustive over all (2^|V|)^3 atoms when |V| <= 3 (or when forced);
-    otherwise a seeded sample of `samples` draws (deduplicated).  Any
+    otherwise a sample of _SAMPLES draws seeded with _SEED (deduplicated).  Any
     mismatch in either direction is reported.  `system` is
     `build_canonical(closure)` when the caller has built it already;
     otherwise it is built here.
@@ -173,9 +177,9 @@ def verify_truth_lemma(closure: Closure, exhaustive: Optional[bool] = None,
         keys = [(a, b, c)
                 for a in range(side) for b in range(side) for c in range(side)]
     else:
-        rng = random.Random(seed)
+        rng = random.Random(_SEED)
         seen = set()
-        for _ in range(samples):
+        for _ in range(_SAMPLES):
             key = (rng.randrange(side), rng.randrange(side), rng.randrange(side))
             seen.add(key)
         keys = sorted(seen)

@@ -96,20 +96,6 @@ class Universe:
         return tuple(n for k, n in enumerate(self.names) if mask >> k & 1)
 
 
-@dataclass
-class RawSystem:
-    """Unchecked system description; the optional ints are source line numbers.
-
-    views/instructions: (name, line); states: (name, view, line);
-    transitions: (source, instruction, target, line).
-    """
-
-    views: list[tuple[str, Optional[int]]]
-    instructions: list[tuple[str, Optional[int]]]
-    states: list[tuple[str, str, Optional[int]]]
-    transitions: list[tuple[str, str, str, Optional[int]]]
-
-
 class EpistemicTransitionSystem:
     """Validated system with interned states, views and instructions.
 
@@ -157,13 +143,10 @@ class EpistemicTransitionSystem:
         states: Iterable[tuple[str, str]],
         transitions: Iterable[tuple[str, str, str]] = (),
     ) -> "EpistemicTransitionSystem":
-        raw = RawSystem(
-            views=[(v, None) for v in views],
-            instructions=[(i, None) for i in instructions],
-            states=[(s, v, None) for s, v in states],
-            transitions=[(s, i, t, None) for s, i, t in transitions],
-        )
-        return validate_system(raw)
+        return validate_system([(v, None) for v in views],
+                               [(i, None) for i in instructions],
+                               [(s, v, None) for s, v in states],
+                               [(s, i, t, None) for s, i, t in transitions])
 
     def __repr__(self) -> str:
         return (
@@ -186,11 +169,6 @@ class EpistemicTransitionSystem:
     def observation(self, state: str) -> str:
         """View observed in a state."""
         return self.universe.names[self.view_of[self.state_index(state)]]
-
-    def states_observing(self, view: str) -> tuple[str, ...]:
-        """States whose observation is `view`, in declaration order."""
-        ks = self._view_states[self.universe.index(view)]
-        return tuple(self.states[k] for k in ks)
 
     def observers(self, mask: int) -> tuple[int, ...]:
         """Indices of the states observing a view in `mask`, ascending.
@@ -227,95 +205,90 @@ class EpistemicTransitionSystem:
         return tuple(out)
 
 
-def validate_system(raw: RawSystem) -> EpistemicTransitionSystem:
-    """Check a raw description and intern it.
+def validate_system(
+    views: Iterable[tuple[str, Optional[int]]],
+    instructions: Iterable[tuple[str, Optional[int]]],
+    states: Iterable[tuple[str, str, Optional[int]]],
+    transitions: Iterable[tuple[str, str, str, Optional[int]]],
+) -> EpistemicTransitionSystem:
+    """Check a description given by names, and intern it.
 
-    Reports every violated invariant at once, naming source lines when the
-    description came from text.  Duplicate transitions collapse silently (the
-    relation is a set); everything else duplicated or dangling is an error.
+    The entries are (view, line), (instruction, line), (state, view, line)
+    and (source, instruction, target, line), where line is the source line
+    of a description read from text, else None.  Reports every violated
+    invariant at once, naming source lines when it has them.  Duplicate
+    transitions collapse silently (the relation is a set); everything else
+    duplicated or dangling is an error.
     """
     problems: list[str] = []
 
     def where(line: Optional[int]) -> str:
         return f" (line {line})" if line is not None else ""
 
-    view_line: dict[str, Optional[int]] = {}
-    for name, line in raw.views:
+    def fresh(kind: str, table: dict, name: str, line: Optional[int]) -> bool:
+        """Whether a declaration names a well-formed name not yet in `table`."""
         if not _IDENT.match(name):
-            problems.append(f"bad view identifier {name!r}{where(line)}")
-        elif name in view_line:
-            problems.append(f"duplicate view {name!r}{where(line)}")
+            problems.append(f"bad {kind} identifier {name!r}{where(line)}")
+        elif name in table:
+            problems.append(f"duplicate {kind} {name!r}{where(line)}")
         else:
-            view_line[name] = line
+            return True
+        return False
 
-    instr_line: dict[str, Optional[int]] = {}
-    for name, line in raw.instructions:
-        if not _IDENT.match(name):
-            problems.append(f"bad instruction identifier {name!r}{where(line)}")
-        elif name in instr_line:
-            problems.append(f"duplicate instruction {name!r}{where(line)}")
+    def resolve(table: dict, name: str, line: Optional[int], role: str,
+                state: Optional[str] = None) -> Optional[int]:
+        """The index of a name used as `role` on `line`, by the declaration
+        of `state` or else by a transition; None once the use is reported."""
+        found = table.get(name)
+        if found is None:
+            problem = (f"transition {role} {name!r} is undeclared" if state is None
+                       else f"state {state!r} observes undeclared {role} {name!r}")
+        elif line is not None and found[1] is not None and found[1] > line:
+            user = "transition" if state is None else f"state {state!r}"
+            problem = f"{user} uses {role} {name!r} before its declaration"
         else:
-            instr_line[name] = line
-    if not instr_line:
+            return found[0]
+        problems.append(problem + where(line))
+        return None
+
+    view_at: dict[str, tuple[int, Optional[int]]] = {}
+    for name, line in views:
+        if fresh("view", view_at, name, line):
+            view_at[name] = (len(view_at), line)
+    instr_at: dict[str, tuple[int, Optional[int]]] = {}
+    for name, line in instructions:
+        if fresh("instruction", instr_at, name, line):
+            instr_at[name] = (len(instr_at), line)
+    if not instr_at:
         problems.append("at least one instruction is required (strategies must be total)")
 
-    state_line: dict[str, Optional[int]] = {}
-    state_view: dict[str, str] = {}
-    for name, view, line in raw.states:
-        if not _IDENT.match(name):
-            problems.append(f"bad state identifier {name!r}{where(line)}")
+    state_at: dict[str, tuple[int, Optional[int]]] = {}
+    observation: list[int] = []
+    for name, view, line in states:
+        if not fresh("state", state_at, name, line):
             continue
-        if name in state_line:
-            problems.append(f"duplicate state {name!r}{where(line)}")
-            continue
-        if view not in view_line:
-            problems.append(f"state {name!r} observes undeclared view {view!r}{where(line)}")
-            continue
-        if line is not None and view_line[view] is not None and view_line[view] > line:
-            problems.append(f"state {name!r} uses view {view!r} before its declaration{where(line)}")
-            continue
-        state_line[name] = line
-        state_view[name] = view
+        v = resolve(view_at, view, line, "view", name)
+        if v is not None:
+            state_at[name] = (len(state_at), line)
+            observation.append(v)
 
-    triples: list[tuple[str, str, str]] = []
-    for src, instr, dst, line in raw.transitions:
-        ok = True
-        for role, name, table in (("source state", src, state_line),
-                                  ("target state", dst, state_line)):
-            if name not in table:
-                problems.append(f"transition {role} {name!r} is undeclared{where(line)}")
-                ok = False
-            elif line is not None and table[name] is not None and table[name] > line:
-                problems.append(f"transition uses {role} {name!r} before its declaration{where(line)}")
-                ok = False
-        if instr not in instr_line:
-            problems.append(f"transition instruction {instr!r} is undeclared{where(line)}")
-            ok = False
-        elif line is not None and instr_line[instr] is not None and instr_line[instr] > line:
-            problems.append(f"transition uses instruction {instr!r} before its declaration{where(line)}")
-            ok = False
-        if ok:
-            triples.append((src, instr, dst))
+    edges: list[tuple[int, int, int]] = []
+    for src, instr, dst, line in transitions:
+        s = resolve(state_at, src, line, "source state")
+        t = resolve(state_at, dst, line, "target state")
+        i = resolve(instr_at, instr, line, "instruction")
+        if s is not None and t is not None and i is not None:
+            edges.append((s, i, t))
 
     if problems:
         raise SystemValidationError(problems)
 
-    universe = Universe(name for name, _ in raw.views)
-    instructions = tuple(name for name, _ in raw.instructions)
-    instr_index = {name: k for k, name in enumerate(instructions)}
-    states = tuple(name for name, _, _ in raw.states)
-    state_index = {name: k for k, name in enumerate(states)}
-    observation = tuple(universe.index(state_view[name]) for name in states)
-
-    buckets: list[list[set[int]]] = [
-        [set() for _ in instructions] for _ in states
-    ]
-    for src, instr, dst in triples:
-        buckets[state_index[src]][instr_index[instr]].add(state_index[dst])
-    succ = tuple(
-        tuple(tuple(sorted(cell)) for cell in row) for row in buckets
-    )
-    return EpistemicTransitionSystem(universe, instructions, states, observation, succ)
+    buckets: list[list[set[int]]] = [[set() for _ in instr_at] for _ in state_at]
+    for s, i, t in edges:
+        buckets[s][i].add(t)
+    succ = tuple(tuple(tuple(sorted(cell)) for cell in row) for row in buckets)
+    return EpistemicTransitionSystem(Universe(view_at), tuple(instr_at),
+                                     tuple(state_at), tuple(observation), succ)
 
 
 @dataclass(frozen=True)
@@ -338,11 +311,6 @@ class AmnesicStrategy:
             raise ValueError(f"strategy names unknown views {extra}")
         return cls(tuple(system.instruction_index(mapping[v]) for v in system.universe))
 
-    @classmethod
-    def constant(cls, system: EpistemicTransitionSystem, instruction: str) -> "AmnesicStrategy":
-        k = system.instruction_index(instruction)
-        return cls((k,) * len(system.universe))
-
     def as_map(self, system: EpistemicTransitionSystem) -> dict[str, str]:
         return {
             view: system.instructions[self.choices[k]]
@@ -357,11 +325,6 @@ class UntilObjective:
     start: int
     corridor: int
     target: int
-
-    @classmethod
-    def from_names(cls, universe: Universe, start: Iterable[str],
-                   corridor: Iterable[str], target: Iterable[str]) -> "UntilObjective":
-        return cls(universe.mask(start), universe.mask(corridor), universe.mask(target))
 
 
 @dataclass(frozen=True)
@@ -514,7 +477,7 @@ def verify_witness(
     try:
         idxs = [system.state_index(s) for s in sts]
     except KeyError as e:
-        return [str(e)]
+        return [e.args[0]]
     a_mask, b_mask, c_mask = objective.start, objective.corridor, objective.target
     obs = system.view_bit
 

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Union
 
-from .core import EpistemicTransitionSystem, RawSystem, Universe, validate_system
+from .core import EpistemicTransitionSystem, Universe, validate_system
 
 __all__ = [
     "Atom", "AtomNode", "Not", "Implies", "Formula", "ParseError",
@@ -316,7 +316,10 @@ def parse_system(text: str) -> EpistemicTransitionSystem:
     Raises ParseError for malformed lines and SystemValidationError (with
     line numbers) for structural problems such as undeclared identifiers.
     """
-    raw = RawSystem(views=[], instructions=[], states=[], transitions=[])
+    views: list[tuple[str, int]] = []
+    instructions: list[tuple[str, int]] = []
+    states: list[tuple[str, str, int]] = []
+    transitions: list[tuple[str, str, str, int]] = []
     for ln, line in enumerate(text.splitlines(), start=1):
         hash_at = line.find("#")
         if hash_at >= 0:
@@ -328,22 +331,22 @@ def parse_system(text: str) -> EpistemicTransitionSystem:
         if directive == "views":
             if not args:
                 raise ParseError("views directive lists no identifiers", ln)
-            raw.views.extend((name, ln) for name in args)
+            views.extend((name, ln) for name in args)
         elif directive == "instructions":
             if not args:
                 raise ParseError("instructions directive lists no identifiers", ln)
-            raw.instructions.extend((name, ln) for name in args)
+            instructions.extend((name, ln) for name in args)
         elif directive == "state":
             if len(args) != 2:
                 raise ParseError("state directive needs: state <name> <view>", ln)
-            raw.states.append((args[0], args[1], ln))
+            states.append((args[0], args[1], ln))
         elif directive == "trans":
             if len(args) != 3:
                 raise ParseError("trans directive needs: trans <from> <instruction> <to>", ln)
-            raw.transitions.append((args[0], args[1], args[2], ln))
+            transitions.append((args[0], args[1], args[2], ln))
         else:
             raise ParseError(f"unknown directive {directive!r}", ln)
-    return validate_system(raw)
+    return validate_system(views, instructions, states, transitions)
 
 
 def render_system(system: EpistemicTransitionSystem, header: str = "") -> str:

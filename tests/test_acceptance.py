@@ -52,8 +52,9 @@ def recall(system, start, corridor, target) -> bool:
 
 
 def constant_works(system, instruction, start, corridor, target) -> bool:
-    objective = UntilObjective.from_names(system.universe, start, corridor, target)
-    strategy = AmnesicStrategy.constant(system, instruction)
+    u = system.universe
+    objective = UntilObjective(u.mask(start), u.mask(corridor), u.mask(target))
+    strategy = AmnesicStrategy.from_map(system, {v: instruction for v in u})
     return check_strategy(system, strategy, objective) is None
 
 

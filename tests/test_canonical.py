@@ -215,10 +215,10 @@ class TestTruthAgreement:
 
     def test_sampled_mode_is_seeded(self):
         clo = saturate(XYZ)
-        first = verify_truth_lemma(clo, exhaustive=False, samples=40, seed=7)
-        second = verify_truth_lemma(clo, exhaustive=False, samples=40, seed=7)
+        first = verify_truth_lemma(clo, exhaustive=False)
+        second = verify_truth_lemma(clo, exhaustive=False)
         assert not first.exhaustive
-        assert 0 < first.atoms_checked <= 40
+        assert 0 < first.atoms_checked <= 500
         assert first == second and first.ok
 
     @settings(max_examples=20, deadline=None)

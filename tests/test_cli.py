@@ -106,6 +106,28 @@ class TestCheck:
                            "--mode", "recall", "--strategy", "v1=0")
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("spec, message", [
+        ("v1=0,v2", "bad assignment 'v2'; expected view=value"),
+        ("v1=0 v1=1", "view 'v1' assigned twice"),
+        (" , ", "empty assignment"),
+    ])
+    def test_bad_strategy_assignment(self, capsys, t0_path, spec, message):
+        code, out, err = run(capsys, "check", t0_path, "nav({v1}; ALL; {v3})",
+                             "--strategy", spec)
+        assert (code, out, err) == (2, "", f"navlog: error: {message}\n")
+
+    def test_invalid_system_reports_every_problem_in_order(self, capsys, tmp_path):
+        path = tmp_path / "bad.ets"
+        path.write_text("views a b\ninstructions 0\nstate s a\nstate s b\n"
+                        "trans s 0 t\nstate u c\ntrans u 1 s\n")
+        code, out, err = run(capsys, "check", str(path), "nav({a}; ALL; {b})")
+        assert (code, out) == (2, "")
+        assert err == (
+            "navlog: error: duplicate state 's' (line 4); state 'u' observes "
+            "undeclared view 'c' (line 6); transition target state 't' is "
+            "undeclared (line 5); transition source state 'u' is undeclared "
+            "(line 7); transition instruction '1' is undeclared (line 7)\n")
+
     def test_unknown_view_in_formula(self, capsys, t0_path):
         code, _, err = run(capsys, "check", t0_path, "nav({v9}; ALL; {v3})")
         assert code == 2 and "unknown view" in err

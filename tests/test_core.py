@@ -19,11 +19,16 @@ from navlog.core import (DEAD_END, LEFT_CORRIDOR, NEVER_REACHES,
                          AmnesicStrategy, EpistemicTransitionSystem,
                          PathWitness, SystemValidationError, Universe,
                          UntilObjective, check_strategy, verify_witness)
-from navlog.syntax import Atom
+from navlog.syntax import Atom, parse_system
 
 
 def objective(system, start, corridor, target) -> UntilObjective:
-    return UntilObjective.from_names(system.universe, start, corridor, target)
+    u = system.universe
+    return UntilObjective(u.mask(start), u.mask(corridor), u.mask(target))
+
+
+def constant(system, instruction) -> AmnesicStrategy:
+    return AmnesicStrategy.from_map(system, {v: instruction for v in system.universe})
 
 
 class TestUniverse:
@@ -50,7 +55,83 @@ class TestUniverse:
         assert exc.value.problems == ["bad view identifier 'a-b'"]
 
 
+def _build(views=("v",), instructions=("0",), states=(), transitions=()):
+    return EpistemicTransitionSystem.build(views, instructions, states, transitions)
+
+
+# Every validation message, with and without its source line, and the order
+# in which several problems are reported together.
+VALIDATION_CASES = [
+    ("views a-b\ninstructions 0\n",
+     ["bad view identifier 'a-b' (line 1)"]),
+    ("views a a\ninstructions 0\n",
+     ["duplicate view 'a' (line 1)"]),
+    ("views a\ninstructions 0 x-y\n",
+     ["bad instruction identifier 'x-y' (line 2)"]),
+    ("views a\ninstructions 0\ninstructions 0\n",
+     ["duplicate instruction '0' (line 3)"]),
+    ("views a\n",
+     ["at least one instruction is required (strategies must be total)"]),
+    ("views a\ninstructions x-y\n",
+     ["bad instruction identifier 'x-y' (line 2)",
+      "at least one instruction is required (strategies must be total)"]),
+    ("views a\ninstructions 0\nstate s-t a\n",
+     ["bad state identifier 's-t' (line 3)"]),
+    ("views a\ninstructions 0\nstate s a\nstate s a\n",
+     ["duplicate state 's' (line 4)"]),
+    ("views a\ninstructions 0\nstate s b\n",
+     ["state 's' observes undeclared view 'b' (line 3)"]),
+    ("instructions 0\nstate s a\nviews a\n",
+     ["state 's' uses view 'a' before its declaration (line 2)"]),
+    ("views a\ninstructions 0\nstate s a\ntrans t 0 s\n",
+     ["transition source state 't' is undeclared (line 4)"]),
+    ("views a\ninstructions 0\nstate s a\ntrans s 0 t\n",
+     ["transition target state 't' is undeclared (line 4)"]),
+    ("views a\ninstructions 0\nstate s a\ntrans s 1 s\n",
+     ["transition instruction '1' is undeclared (line 4)"]),
+    ("views a\ninstructions 0\ntrans s 0 t\nstate s a\nstate t a\n",
+     ["transition uses source state 's' before its declaration (line 3)",
+      "transition uses target state 't' before its declaration (line 3)"]),
+    ("views a\nstate s a\ntrans s 0 s\ninstructions 0\n",
+     ["transition uses instruction '0' before its declaration (line 3)"]),
+    # A state rejected for its view stays undeclared for the transitions,
+    # and the state lines are reported before every transition line.
+    ("views a b\ninstructions 0\nstate s a\nstate s b\ntrans s 0 t\n"
+     "state u c\ntrans u 1 s\n",
+     ["duplicate state 's' (line 4)",
+      "state 'u' observes undeclared view 'c' (line 6)",
+      "transition target state 't' is undeclared (line 5)",
+      "transition source state 'u' is undeclared (line 7)",
+      "transition instruction '1' is undeclared (line 7)"]),
+    (dict(views=("a-b",)), ["bad view identifier 'a-b'"]),
+    (dict(views=("v", "v")), ["duplicate view 'v'"]),
+    (dict(instructions=("0", "x-y")), ["bad instruction identifier 'x-y'"]),
+    (dict(instructions=("0", "0")), ["duplicate instruction '0'"]),
+    (dict(instructions=()),
+     ["at least one instruction is required (strategies must be total)"]),
+    (dict(states=[("s-t", "v")]), ["bad state identifier 's-t'"]),
+    (dict(states=[("s", "v"), ("s", "v")]), ["duplicate state 's'"]),
+    (dict(states=[("s", "w")]), ["state 's' observes undeclared view 'w'"]),
+    (dict(states=[("s", "v")], transitions=[("t", "0", "s")]),
+     ["transition source state 't' is undeclared"]),
+    (dict(states=[("s", "v")], transitions=[("s", "0", "t")]),
+     ["transition target state 't' is undeclared"]),
+    (dict(states=[("s", "v")], transitions=[("s", "1", "s")]),
+     ["transition instruction '1' is undeclared"]),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("source, problems", VALIDATION_CASES)
+    def test_messages(self, source, problems):
+        with pytest.raises(SystemValidationError) as exc:
+            if isinstance(source, str):
+                parse_system(source)
+            else:
+                _build(**source)
+        assert exc.value.problems == problems
+        assert str(exc.value) == "; ".join(problems)
+
     def test_all_problems_collected(self):
         with pytest.raises(SystemValidationError) as exc:
             EpistemicTransitionSystem.build(
@@ -59,9 +140,12 @@ class TestValidation:
                 states=[("s", "w"), ("s", "v")],
                 transitions=[("s", "0", "t")],
             )
-        text = str(exc.value)
-        assert len(exc.value.problems) >= 4
-        assert "at least one instruction" in text
+        assert exc.value.problems == [
+            "duplicate view 'v'",
+            "at least one instruction is required (strategies must be total)",
+            "state 's' observes undeclared view 'w'",
+            "transition target state 't' is undeclared",
+            "transition instruction '0' is undeclared"]
 
     def test_duplicate_transitions_collapse(self):
         system = EpistemicTransitionSystem.build(
@@ -73,7 +157,7 @@ class TestValidation:
     def test_empty_view_class_allowed(self):
         system = EpistemicTransitionSystem.build(
             views=("v", "ghost"), instructions=("0",), states=[("s", "v")])
-        assert system.states_observing("ghost") == ()
+        assert system.observers(system.universe.mask(["ghost"])) == ()
 
     def test_zero_states_allowed(self):
         system = EpistemicTransitionSystem.build(
@@ -83,7 +167,7 @@ class TestValidation:
     def test_accessors(self, t0):
         assert t0.observation("a") == "v1"
         assert t0.observation("g") == "v1"
-        assert t0.states_observing("v3") == ("c", "e")
+        assert t0.observers(t0.universe.mask(["v3"])) == (2, 4)
         assert t0.successors("a", "0") == ("h",)
         assert ("h", "1", "a") in t0.transition_triples()
 
@@ -106,25 +190,25 @@ class TestValidation:
 
 class TestCheckStrategy:
     def test_constant_one_reaches_v3(self, t0):
-        s = AmnesicStrategy.constant(t0, "1")
+        s = constant(t0, "1")
         assert check_strategy(
             t0, s, objective(t0, ["v1"], t0.universe.names, ["v3"])) is None
 
     def test_start_on_target_succeeds_without_moving(self, t0):
-        s = AmnesicStrategy.constant(t0, "0")
+        s = constant(t0, "0")
         assert check_strategy(t0, s, objective(t0, ["v1"], [], ["v1"])) is None
 
     def test_populated_start_outside_corridor_fails_at_position_zero(self, t0):
         # The first position of a run counts: with an empty corridor and the
         # target elsewhere, a populated start class can never comply.
-        s = AmnesicStrategy.constant(t0, "1")
+        s = constant(t0, "1")
         witness = check_strategy(t0, s, objective(t0, ["v1"], [], ["v3"]))
         assert witness is not None
         assert witness.reason == LEFT_CORRIDOR
         assert len(witness.states) == 1
 
     def test_dead_end_reported(self, t1):
-        s = AmnesicStrategy.constant(t1, "1")
+        s = constant(t1, "1")
         witness = check_strategy(
             t1, s, objective(t1, ["vb"], t1.universe.names, ["vf"]))
         assert witness is not None
@@ -132,7 +216,7 @@ class TestCheckStrategy:
         assert witness.states[-1] == "d"
 
     def test_lasso_reported_with_loop_start(self, t0):
-        s = AmnesicStrategy.constant(t0, "0")
+        s = constant(t0, "0")
         witness = check_strategy(
             t0, s, objective(t0, ["v3"], t0.universe.names, ["v1"]))
         assert witness is not None
@@ -145,7 +229,7 @@ class TestCheckStrategy:
         for system in (t0, t1):
             names = system.universe.names
             for instr in system.instructions:
-                s = AmnesicStrategy.constant(system, instr)
+                s = constant(system, instr)
                 for target in names:
                     obj = objective(system, [names[0]], names[:2], [target])
                     witness = check_strategy(system, s, obj)
@@ -153,7 +237,7 @@ class TestCheckStrategy:
                         assert verify_witness(system, s, obj, witness) == []
 
     def test_verify_witness_rejects_tampering(self, t0):
-        s = AmnesicStrategy.constant(t0, "0")
+        s = constant(t0, "0")
         obj = objective(t0, ["v3"], t0.universe.names, ["v1"])
         witness = check_strategy(t0, s, obj)
         assert witness is not None
@@ -162,6 +246,49 @@ class TestCheckStrategy:
         truncated = PathWitness(witness.states[1:], witness.reason,
                                 witness.loop_start)
         assert verify_witness(t0, s, obj, truncated) != []
+
+
+    # Under "always 1" on T0, nav({v1}; ALL; {v4}) fails on the lasso g f e f;
+    # each row corrupts that counterexample to meet one rejection (a few
+    # corruptions cannot help meeting a second).
+    @pytest.mark.parametrize("states, reason, loop_start, problems", [
+        ((), NEVER_REACHES, 1, ["witness has no states"]),
+        (("g", "zz", "e"), NEVER_REACHES, 1, ["unknown state 'zz'"]),
+        (("f", "e"), NEVER_REACHES, 0,
+         ["first state 'f' does not observe a start view"]),
+        (("g", "e", "f"), NEVER_REACHES, 1,
+         ["'g' does not step to 'e' under the strategy"]),
+        (("a", "b", "c", "d"), NEVER_REACHES, 3,
+         ["state 'd' is not strictly inside the corridor"]),
+        (("g", "f", "e"), LEFT_CORRIDOR, None,
+         ["final state 'e' still observes a corridor or target view"]),
+        (("g", "f", "e"), LEFT_CORRIDOR, 1,
+         ["left_corridor witness carries a loop_start",
+          "final state 'e' still observes a corridor or target view"]),
+        (("g", "f", "e"), DEAD_END, None,
+         ["final state 'e' still has successors under the strategy"]),
+        (("g", "f", "e"), DEAD_END, 1,
+         ["dead_end witness carries a loop_start",
+          "final state 'e' still has successors under the strategy"]),
+        (("a", "b", "c", "d"), DEAD_END, None,
+         ["final state 'd' observes a target view",
+          "final state 'd' still has successors under the strategy"]),
+        (("g", "f", "e"), NEVER_REACHES, None,
+         ["never_reaches witness needs a loop_start inside the run"]),
+        (("g", "f", "e"), NEVER_REACHES, 3,
+         ["never_reaches witness needs a loop_start inside the run"]),
+        (("g", "f", "e"), NEVER_REACHES, 0,
+         ["lasso does not close under the strategy"]),
+        (("g", "f", "e"), "teleport", 1, ["unknown witness reason 'teleport'"]),
+    ])
+    def test_verify_witness_names_each_defect(self, t0, states, reason,
+                                              loop_start, problems):
+        s = constant(t0, "1")
+        obj = objective(t0, ["v1"], t0.universe.names, ["v4"])
+        assert check_strategy(t0, s, obj) == PathWitness(
+            ("g", "f", "e"), NEVER_REACHES, 1)
+        forged = PathWitness(states, reason, loop_start)
+        assert verify_witness(t0, s, obj, forged) == problems
 
 
 class TestStrategyType:

@@ -149,6 +149,14 @@ class TestWitnessChecking:
             "witness names unknown instruction '7' at Belief(vb, {b})",
             "witness has no instruction for Belief(vf, {f})"]
 
+    def test_play_leaving_the_corridor_is_rejected(self, t0):
+        corridor = [v for v in t0.universe.names if v != "v5"]
+        atom = atom_over(t0, ["v1"], corridor, ["v3"])
+        witness = dict(check_atom_recall(t0, atom).witness)
+        witness[Belief("v1", frozenset({"a", "g"}))] = "1"      # g steps to f
+        assert verify_recall_witness(t0, atom, witness) == [
+            "Belief(v5, {f}) sits outside corridor and target"]
+
     def test_cyclic_witness_is_rejected(self):
         system = EpistemicTransitionSystem.build(
             views=("a", "b", "c"), instructions=("x", "y"),
