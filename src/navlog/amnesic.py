@@ -21,13 +21,24 @@ counterexamples than the system has (state, instruction) rows -- probes
 once: it reads one total strategy off the full-observation attractor (each
 view takes the instruction whose worst successor rank is least) and replays
 it.  If every run verifies, the search ends with that strategy, restricted
-to the views the replay consulted; if not, it carries on exactly where it
-stopped.  A probe costs about one pass over the table, so it runs only
-after the search has done that much work, and small searches never reach
-it.  It counts as one examined assignment, won or lost, unless a root lies
-outside the attractor: then no strategy can win, and nothing is replayed
-or counted.  Verdicts and the lex-least witness do not depend on the probe;
-the raw witness and `strategies_examined` of a search past the budget do.
+to the views the replay consulted.  If a root lies outside the attractor,
+no strategy can win, and the search ends there: the atom FAILS.  Otherwise
+the search starts again from the roots, branching explore-first: the walk
+passes over the views it meets unassigned and goes on, so a counterexample
+among the views already assigned fails the assignment before any view is
+branched on, and only a walk clean apart from those views branches, on the
+first one it met.  The walk resumes at the position where it met that
+view, and states whose every run verified stay skipped for the rest of the
+branch.  On random systems whose counterexamples run through every
+assigned view, this examines tens of times fewer assignments.  But each
+node walks again everything past its branching position, which is
+quadratic on two chains that share their views, so it starts only past
+the budget.  A probe costs about one pass over the table, and small
+searches never reach it.  It counts as one examined assignment, won or
+lost, unless a root lies outside the attractor: then nothing is replayed
+or counted.  Verdicts and the lex-least witness do not depend on
+the probe or the restart; the raw witness and `strategies_examined` of a
+search past the budget do.
 
 The witness reported is the lexicographically least one.  Minimisation fixes
 views in declaration order and keeps the last successful assignment: a view
@@ -145,8 +156,8 @@ def _probe(system: EpistemicTransitionSystem, roots: Sequence[int],
 def _search(system: EpistemicTransitionSystem, roots: Sequence[int], corridor: int,
             target: int, sigma: list[Optional[int]],
             status: Optional[list[int]] = None, trail: Optional[list[int]] = None,
-            top: Optional[tuple] = None, i: int = 0, probe: bool = False
-            ) -> tuple[bool, int, Optional[tuple]]:
+            top: Optional[tuple] = None, i: int = 0, probe: bool = False,
+            ahead: bool = False) -> tuple[bool, int, Optional[tuple]]:
     """Complete the partial strategy `sigma` in place, if it can be done.
 
     One resumable walk of the explorer, backtracking over an explicit stack
@@ -172,9 +183,19 @@ def _search(system: EpistemicTransitionSystem, roots: Sequence[int], corridor: i
     after the start may remain; a caller that resumes the same marks
     elsewhere resets them and moves the path marks back with `move_path`.
 
+    With `ahead`, the walk branches explore-first (`explore`'s `ahead`):
+    a frame is pushed only when the walk under `sigma` finds no
+    counterexample, for the first view it met with no instruction, and
+    saves the position where it met it.  The safe marks the walk trailed
+    past that position belong to the frame's parent, since they hold
+    under every instruction of the view.
+
     With `probe`, the search runs `_probe` once, when its count of
     counterexamples first exceeds the number of rows of the transition
-    table; a probe that wins ends the search with its assignment.
+    table.  A probe that wins ends the search with its assignment, and
+    one that finds a root outside the attractor ends it with a failure;
+    otherwise the search starts again from the roots with `ahead`, and
+    its count adds to the one so far.
     """
     n_instructions = len(system.instructions)
     budget = len(system.states) * n_instructions
@@ -183,7 +204,7 @@ def _search(system: EpistemicTransitionSystem, roots: Sequence[int], corridor: i
     frames: list[list] = []
     examined = 0
     found, top, i = explore(system, sigma, corridor, target, roots, status,
-                            trail, top, i)
+                            trail, top, i, ahead)
     while found is not None:
         if isinstance(found, int):
             frames.append([found, 0, len(trail), top, i])
@@ -191,12 +212,18 @@ def _search(system: EpistemicTransitionSystem, roots: Sequence[int], corridor: i
         else:
             examined += 1
             if probe and examined > budget:
-                probe = False
                 probed, won = _probe(system, roots, corridor, target)
                 examined += probed
                 if won is not None:
                     sigma[:] = won
                     return True, examined, None
+                for frame in frames:
+                    sigma[frame[0]] = None
+                if not probed:  # a root no strategy can win from
+                    return False, examined, top
+                holds, more, top = _search(system, roots, corridor, target,
+                                           sigma, ahead=True)
+                return holds, examined + more, top
             while frames:
                 frame = frames[-1]
                 view, instruction, mark, saved, j = frame
@@ -213,7 +240,7 @@ def _search(system: EpistemicTransitionSystem, roots: Sequence[int], corridor: i
             move_path(status, top, saved)
             top, i = saved, j
         found, top, i = explore(system, sigma, corridor, target, roots,
-                                status, trail, top, i)
+                                status, trail, top, i, ahead)
     return True, examined + 1, top
 
 
@@ -249,11 +276,16 @@ def decide_amnesic(system: EpistemicTransitionSystem, objective: UntilObjective,
     replays the strategy read off the full-observation attractor, and ends
     if that wins.  The assignment it then returns is that strategy on the
     views the replay consulted, None elsewhere, so the raw witness has 0 on
-    the other views and minimisation leaves them unsearched.  The probe
-    counts as one examined assignment, won or lost (it is skipped, and not
-    counted, when a root lies outside the attractor).  So past that budget
-    the raw witness and `strategies_examined` may differ from a search
-    without the probe; the verdict and the lex-least witness never do.
+    the other views and minimisation leaves them unsearched.  A root
+    outside the attractor ends the search with FAILS, since no strategy
+    can win from it.  A probe that loses restarts the verdict search from
+    the roots, branching on a view only once the walk under the views
+    assigned so far finds no counterexample.  The probe counts as one
+    examined assignment, won or lost (it is skipped, and not counted, when
+    a root lies outside the attractor), and the restarted search's
+    assignments add to the count.  So past that budget the raw witness and
+    `strategies_examined` may differ from a plain chronological search;
+    the verdict and the lex-least witness never do.
     """
     corridor, target = objective.corridor, objective.target
     roots = system.observers(objective.start)

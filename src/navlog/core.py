@@ -23,7 +23,7 @@ LEFT_CORRIDOR = "left_corridor"    # stepped onto a view outside corridor and ta
 DEAD_END = "dead_end"              # run halted before reaching the target
 NEVER_REACHES = "never_reaches"    # run cycles forever short of the target
 
-UNSEEN, _ON_PATH, _SAFE = 0, 1, 2
+UNSEEN, _ON_PATH, _SAFE, _OPEN = 0, 1, 2, 3
 
 
 class SystemValidationError(ValueError):
@@ -345,7 +345,7 @@ class PathWitness:
 def explore(system: EpistemicTransitionSystem, sigma: Sequence[Optional[int]],
             corridor: int, target: int, roots: Sequence[int],
             status: list[int], trail: list[int],
-            top: Optional[tuple] = None, i: int = 0
+            top: Optional[tuple] = None, i: int = 0, ahead: bool = False
             ) -> "tuple[None | int | str, Optional[tuple], int]":
     """Depth-first walk over the runs from `roots` under a partial strategy,
     resumable where it stopped.
@@ -370,39 +370,76 @@ def explore(system: EpistemicTransitionSystem, sigma: Sequence[Optional[int]],
     reason of a counterexample ending at that successor (for
     `never_reaches`, the path up to `top` closes a lasso on it).  The path's
     marks stay in place on return.
+
+    With `ahead`, a state whose view has no instruction is passed over, not
+    paused at, and the walk goes on: a counterexample anywhere is returned
+    as above.  A state finished with such a state among its runs is marked
+    _OPEN rather than safe, and skipped when met again (its runs were all
+    walked, and a cycle through it would have met the path); these marks
+    are cleared on return.  A walk that finds no counterexample returns the
+    first view with no instruction it met, at the position it met it, with
+    the path marks moved there: what a walk without `ahead` would return,
+    bar the safe marks it has added past that position.
     """
     view_bit, view_of, succ = system.view_bit, system.view_of, system.succ
     children = roots if top is None else succ[top[0]][sigma[view_of[top[0]]]]
     n = len(children)
+    # With `ahead`: the first view met with no instruction, with its
+    # position; the states marked _OPEN; and the depth down to which the
+    # path's nodes have a state with no instruction among their runs.
+    first, opened, tainted = None, [], -1
     while True:
         if i == n:
             if top is None:
-                return None, None, 0
-            done, i, top, _ = top
-            status[done] = _SAFE
-            trail.append(done)
+                found = None
+                break
+            done, i, top, depth = top
+            if tainted < depth:
+                status[done] = _SAFE
+                trail.append(done)
+            else:
+                status[done] = _OPEN
+                opened.append(done)
+                tainted = depth - 1
             i += 1
             children = roots if top is None else succ[top[0]][sigma[view_of[top[0]]]]
             n = len(children)
             continue
         u = children[i]
         m = view_bit[u]
-        if m & target or status[u] == _SAFE:
+        mark = status[u]
+        if m & target or mark == _SAFE:
             i += 1
         elif not m & corridor:
-            return LEFT_CORRIDOR, top, i
-        elif status[u] == _ON_PATH:
-            return NEVER_REACHES, top, i
+            found = LEFT_CORRIDOR
+            break
+        elif mark == _ON_PATH:
+            found = NEVER_REACHES
+            break
         else:
-            instruction = sigma[view_of[u]]
+            # An _OPEN state is passed over like one with no instruction.
+            instruction = None if mark else sigma[view_of[u]]
             if instruction is None:
-                return view_of[u], top, i
-            if not succ[u][instruction]:
-                return DEAD_END, top, i
-            status[u] = _ON_PATH
-            top = (u, i, top, 0 if top is None else top[3] + 1)
-            children, i = succ[u][instruction], 0
-            n = len(children)
+                if not ahead:
+                    return view_of[u], top, i
+                if first is None:
+                    first = view_of[u], top, i
+                tainted = -1 if top is None else top[3]
+                i += 1
+            elif not succ[u][instruction]:
+                found = DEAD_END
+                break
+            else:
+                status[u] = _ON_PATH
+                top = (u, i, top, 0 if top is None else top[3] + 1)
+                children, i = succ[u][instruction], 0
+                n = len(children)
+    for state in opened:
+        status[state] = UNSEEN
+    if found is None and first is not None:
+        found, top, i = first
+        move_path(status, None, top)
+    return found, top, i
 
 
 def move_path(status: list[int], old: Optional[tuple],

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (T0_GRID, planted_system, small_random_system,
+from conftest import (T0_GRID, planted_system, random_3sat, sat_system,
+                      satisfiable, small_random_system, two_root_chain,
                       two_way_chain)
 from _oracles import (find_witness_by_enumeration, holds_by_enumeration,
-                      lex_least_by_trials_from_roots)
+                      lex_least_by_trials_from_roots, until_satisfied)
 
 from navlog import amnesic, recall
 from navlog.amnesic import (check_atom_amnesic, decide_amnesic, evaluate,
@@ -512,6 +513,39 @@ def probes(monkeypatch):
 # the memoryless claim's probe wins, and the recall-only claim FAILS.
 PROBED_SEEDS = (12, 40, 81, 95, 102, 105, 116)
 
+# strategies_examined for the recall-only claim of PROBED_SEEDS: the
+# counterexamples up to the budget, the lost probe, and the search restarted
+# explore-first.
+RECALL_ONLY_EXAMINED = {12: 746, 40: 1104, 81: 740, 95: 901, 102: 746,
+                        105: 850, 116: 670}
+
+# (raw, lex-least) strategies_examined of the planted claims whose probe
+# loses, by (seed, claim): claim k is the k-th of (a, b), (c, d), (b, a),
+# (y, x).  The raw count is the restarted search's plus the budget and two;
+# minimisation adds what it adds after a plain search.
+LOST_PROBE_EXAMINED = {
+    (0, 2): (663, 663), (1, 1): (591, 1621), (1, 2): (741, 2512),
+    (3, 1): (535, 3214), (3, 2): (1059, 1059), (3, 3): (723, 2459),
+    (4, 2): (477, 477), (5, 2): (618, 618), (6, 1): (337, 1367),
+    (6, 2): (505, 1815), (8, 1): (597, 597), (8, 2): (505, 505),
+    (9, 1): (815, 2187), (9, 2): (975, 3597), (9, 3): (728, 2901),
+    (10, 2): (273, 703), (11, 2): (902, 902), (12, 1): (746, 746),
+    (12, 2): (676, 676), (12, 3): (640, 1198), (13, 2): (493, 493),
+    (14, 1): (324, 1345), (14, 2): (434, 478), (16, 2): (601, 601),
+    (16, 3): (577, 2093), (17, 1): (761, 3678), (17, 2): (824, 824),
+    (19, 1): (434, 434), (20, 1): (331, 331), (21, 1): (581, 581),
+    (21, 2): (406, 655), (24, 1): (971, 4865), (24, 2): (905, 4449),
+    (27, 2): (665, 665), (30, 1): (673, 673), (30, 2): (729, 729),
+    (31, 1): (258, 683), (31, 2): (270, 348), (32, 3): (286, 286),
+    (33, 2): (367, 367), (34, 2): (734, 734), (35, 1): (734, 879),
+    (35, 2): (747, 747), (37, 2): (541, 2360), (38, 2): (641, 974),
+    (38, 3): (643, 892), (39, 2): (456, 456), (39, 3): (402, 402),
+}
+
+# How many of test_claims_match_the_chronological_search's raw searches
+# lose the probe and restart explore-first.
+RESTARTED = 204
+
 
 class TestProbe:
     @pytest.mark.parametrize("seed", PROBED_SEEDS)
@@ -540,27 +574,34 @@ class TestProbe:
     @pytest.mark.parametrize("seed", PROBED_SEEDS)
     def test_probe_loses_the_recall_only_claim(self, seed, probes):
         # Recall wins through y twice with different instructions; no
-        # memoryless strategy does, so the probe loses, the search carries
-        # on where it stopped, and the lost probe costs one assignment.
+        # memoryless strategy does, so the probe loses, costing one
+        # assignment, and the search starts again from the roots,
+        # branching explore-first.
         system, (a, x, b, c, y, d) = planted_system(seed)
         objective = UntilObjective(1 << c, system.universe.full, 1 << d)
         assert decide_recall(system, objective).holds
+        restarted = amnesic._search(
+            system, system.observers(1 << c), system.universe.full, 1 << d,
+            [None] * len(system.universe), ahead=True)
+        assert restarted[:2] == (False, RECALL_ONLY_EXAMINED[seed]
+                                 - 3 * len(system.states) - 2)
         for canonical_witness in (False, True):
             probes.clear()
             decision = decide_amnesic(system, objective, canonical_witness)
             assert probes == [(1, None)]
             assert not decision.holds and decision.witness is None
+            assert decision.strategies_examined == RECALL_ONLY_EXAMINED[seed]
             want = lex_least_by_trials_from_roots(system, objective)
-            assert decision.strategies_examined == want[2] + 1
+            assert decision.strategies_examined < want[2]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_planted_claims_match_the_plain_search(self, seed, probes):
         # Verdicts and least witnesses are those of the search without a
         # probe.  A search that never passes the budget counts the same, a
-        # lost probe adds its one assignment, and a won probe ends the raw
-        # search before the plain one ends.
+        # won probe ends the raw search before the plain one ends, and a
+        # lost one restarts it explore-first, with the counts pinned.
         system, (a, x, b, c, y, d) = planted_system(seed)
-        for s, t in ((a, b), (c, d), (b, a), (y, x)):
+        for k, (s, t) in enumerate(((a, b), (c, d), (b, a), (y, x))):
             objective = UntilObjective(1 << s, system.universe.full, 1 << t)
             plain = amnesic._search(
                 system, system.observers(1 << s), system.universe.full,
@@ -579,10 +620,57 @@ class TestProbe:
                 assert raw.strategies_examined == plain
                 assert least.strategies_examined == want[2]
             elif probes[0][1] is None:
-                assert raw.strategies_examined == plain + 1
-                assert least.strategies_examined == want[2] + 1
+                assert (raw.strategies_examined, least.strategies_examined
+                        ) == LOST_PROBE_EXAMINED[seed, k]
             else:
                 assert raw.strategies_examined <= plain
+
+    def test_probe_proving_fails_ends_the_search(self, probes):
+        # The search passes the budget of 27 states times 3 instructions,
+        # and v0's states include one outside the full-observation
+        # attractor of v6: no strategy wins, and the search ends at once.
+        # The plain search gets there after 241 assignments.
+        system, _ = planted_system(12, (12, 40), (6, 7), (1, 2), plant=False)
+        objective = UntilObjective(1, system.universe.full, 1 << 6)
+        for canonical_witness in (False, True):
+            probes.clear()
+            decision = decide_amnesic(system, objective, canonical_witness)
+            assert probes == [(0, None)]
+            assert decision == amnesic.AmnesicDecision(False, None, 82)
+        assert 3 * len(system.states) + 1 == 82
+        assert lex_least_by_trials_from_roots(system, objective) == (
+            False, None, 241, None)
+
+    def test_claims_match_the_chronological_search(self, probes):
+        # Systems shaped like the benchmark's search templates (100-300
+        # states, 8-11 views, two successor draws per row), odd seeds with
+        # the claims planted, and small ones (12-40 states, 6-7 views):
+        # verdicts and least witnesses are those of the chronological
+        # search, and every raw witness replays, also where the search
+        # restarts explore-first.
+        restarted = 0
+        cases = [planted_system(seed, (100, 300), (8, 11), (2, 2),
+                                plant=seed % 2 == 1) for seed in range(20)]
+        cases += [planted_system(seed, (12, 40), (6, 7), (1, 2), plant=False)
+                  for seed in range(300)]
+        for system, (a, x, b, c, y, d) in cases:
+            for s, t in ((a, b), (c, d), (b, a), (y, x)):
+                objective = UntilObjective(1 << s, system.universe.full,
+                                           1 << t)
+                probes.clear()
+                raw = decide_amnesic(system, objective, canonical_witness=False)
+                restarted += probes == [(1, None)]
+                least = decide_amnesic(system, objective)
+                want = lex_least_by_trials_from_roots(system, objective)
+                assert raw.holds == least.holds == want[0]
+                assert (least.witness and least.witness.choices) == want[1]
+                if raw.holds:
+                    assert check_strategy(system, raw.witness,
+                                          objective) is None
+                    assert until_satisfied(
+                        system, raw.witness.as_map(system), {f"v{s}"},
+                        set(system.universe.names), {f"v{t}"})
+        assert restarted == RESTARTED
 
     def test_probe_reads_its_strategy_off_the_ranks(self, t0):
         # On a chain every rank falls one step towards the target, so each
@@ -599,9 +687,31 @@ class TestProbe:
         goal = t0.universe.mask(["v2"])
         assert amnesic._probe(t0, roots, t0.universe.full, goal) == (1, None)
 
-    def test_small_searches_never_probe(self, t0, probes):
+    def test_two_root_chain(self):
+        # Both copies of each view must step forward: one counterexample
+        # per view of the first copy, and one per minimisation trial.  The
+        # search stays below the budget, where branching explore-first
+        # would walk the second copy again at every view.
+        chain = two_root_chain(3000)
+        decision = check_atom_amnesic(chain, atom_over(
+            chain, ["v0"], chain.universe.names, ["v2999"]))
+        assert decision.holds and decision.strategies_examined == 5999
+        assert decision.witness.choices == (1,) * 2999 + (0,)
+
+    def test_small_searches_never_probe(self, t0, probes, monkeypatch):
         # T0 has 16 rows and a chain of n views 2n, more than either search
-        # ever meets counterexamples, also on a chain declared backwards.
+        # ever meets counterexamples, also on a chain declared backwards or
+        # twice.  Without a probe, no walk branches explore-first.
+        walks = []
+        explore = amnesic.explore
+
+        def spy(system, sigma, corridor, target, roots, status, trail,
+                top=None, i=0, ahead=False):
+            walks.append(ahead)
+            return explore(system, sigma, corridor, target, roots, status,
+                           trail, top, i, ahead)
+
+        monkeypatch.setattr(amnesic, "explore", spy)
         names = t0.universe.names
         for row in names:
             for col in names:
@@ -611,9 +721,43 @@ class TestProbe:
         cases = [(two_way_chain(n), "v0", f"v{n - 1}") for n in (2, 7, 40, 3000)]
         cases += [(two_way_chain(n, range(n - 1, -1, -1)), f"v{n - 1}", "v0")
                   for n in (7, 40)]
+        cases.append((two_root_chain(3000), "v0", "v2999"))
         for chain, start, goal in cases:
             for canonical_witness in (False, True):
                 check_atom_amnesic(chain, atom_over(
                     chain, [start], chain.universe.names, [goal]),
                     canonical_witness)
         assert probes == []
+        assert walks and not any(walks)
+
+
+# (variables, seed) of random 3-SAT formulas at 4.26 clauses per variable;
+# 3/2, 3/4, 4/0, 4/17, 4/18 and 5/6 are unsatisfiable.
+SAT_CASES = ([(3, seed) for seed in range(12)]
+             + [(4, seed) for seed in (0, 1, 3, 4, 5, 17, 18)]
+             + [(5, seed) for seed in (0, 2, 5, 6, 8)]
+             + [(6, seed) for seed in (3, 6, 8, 9, 12)])
+
+
+@pytest.mark.parametrize("n, seed", SAT_CASES)
+def test_3sat_claim_holds_exactly_when_the_formula_is_satisfiable(n, seed):
+    # Recall always wins and the start state lies in the full-observation
+    # attractor, so only the search itself can refute the claim.  A
+    # witness sets each variable view so that the literal its clause views
+    # pick is true.
+    clauses = random_3sat(seed, n)
+    system, objective = sat_system(n, clauses)
+    sat = satisfiable(n, clauses)
+    assert decide_recall(system, objective).holds
+    raw = decide_amnesic(system, objective, canonical_witness=False)
+    least = decide_amnesic(system, objective)
+    assert raw.holds == least.holds == sat
+    want = lex_least_by_trials_from_roots(system, objective)
+    assert (least.witness and least.witness.choices) == want[1]
+    for decision in (raw, least) if sat else ():
+        assert check_strategy(system, decision.witness, objective) is None
+        choices = decision.witness.choices
+        value = [choices[1 + len(clauses) + x] == 1 for x in range(n)]
+        for j, clause in enumerate(clauses):
+            x, sign = clause[choices[1 + j]]
+            assert value[x] == sign
